@@ -63,3 +63,8 @@ class CaseDispatchFailure(DialabError):
 
 class SlotOutOfRange(DialabError):
     """A composition slot index is outside 1..degree(outer)."""
+
+
+class DegreeOutOfRange(DialabError):
+    """A degree, weight, series order or generator count is outside the
+    supported range."""

@@ -217,7 +217,7 @@ def eval_monomial(m) -> Lin:
 # free dialgebra products
 # ---------------------------------------------------------------------------
 
-def _dias_term(a: PointedWord, b: PointedWord, side):
+def dias_term(a: PointedWord, b: PointedWord, side):
     letters = a.letters + b.letters
     if side == LEFT:
         return PointedWord(letters, a.pointer)
@@ -226,12 +226,7 @@ def _dias_term(a: PointedWord, b: PointedWord, side):
     raise IndexOutOfRange("side must be %r or %r" % (LEFT, RIGHT))
 
 
-dias_mul = bilinear(_dias_term)
-
-
-def forget_pointer(pw: PointedWord) -> Word:
-    """The fusion map onto the tensor algebra: drop the mark."""
-    return Word(pw.letters)
+dias_mul = bilinear(dias_term)
 
 
 def fusion(x: Lin) -> Lin:

@@ -8,11 +8,15 @@ Five theories are supported.  In homological degree n the chains are
     CL     g^(x)n                  g a Leibniz algebra
     CZinb  R^(x)n                  R a Zinbiel algebra
 
-and every differential is an alternating sum of face maps that merge two
-adjacent tensor factors through a product chosen by the index.  Sources are
-either FiniteAlgebra structure constants or a weight-homogeneous piece of a
-free algebra (finite-dimensional because the differential preserves the
-total number of generator letters).
+CY, CS, CDend and CZinb (whose index set is a single point) are faced
+complexes  K[X_n] (x) A^(x)n  with  d = sum_i (-1)^(i+1) face_i (x) mu_i:
+face i deletes leaf i of the index and merges the tensor factors i, i+1
+through the product that the index assigns to that face.  All four are
+instances of one kernel, FacedComplex, whose source is either FiniteAlgebra
+structure constants or a weight-homogeneous piece of a free algebra
+(finite-dimensional because the differential preserves the total number of
+generator letters).  CL sums over pairs of factors, is not faced, and keeps
+a plain differential.
 
 Betti numbers come from exact ranks over the rationals.  The module also
 houses the contracting homotopy of the free-dialgebra complex, the
@@ -22,10 +26,16 @@ the theories.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from fractions import Fraction
+from math import lcm
+from typing import Callable, NamedTuple
 
+from . import freealg
 from .errors import (
     CaseDispatchFailure,
+    DegreeOutOfRange,
     IncompatibleAlgebras,
     IndexOutOfRange,
     UnsupportedTheoryForSource,
@@ -33,7 +43,7 @@ from .errors import (
 from .finalg import FiniteAlgebra
 from .freealg import DendTerm, PointedWord, Word, apply_perm_to_tuple, \
     leibniz_to_dialgebra
-from .lincomb import Lin
+from .lincomb import Lin, accumulate
 from .linalg import rank_of_columns
 from .trees import (
     LEFT,
@@ -68,9 +78,17 @@ class ChainComplex:
     `terms[n]` is the ordered basis in degree n and `diff(n, term)` the
     value of the differential on one basis term, as a Lin over degree n-1
     terms.  Degrees run 1..n_max.
+
+    The differential is read through three hooks, which a subclass may
+    replace by a cheaper encoding of the basis: `_key(n, term)` encodes a
+    term, `_idiff(n, key)` is the image of an encoded term under
+    `scale * d` as a {key: coefficient} dict, and `_term(n, key)` decodes.
+    Here a key is the term itself and the scale is 1.
     """
 
-    def __init__(self, theory, terms, diff, label=""):
+    scale = 1
+
+    def __init__(self, theory, terms, diff=None, label=""):
         self.theory = theory
         self.terms = {n: tuple(ts) for n, ts in terms.items()}
         self.index = {
@@ -80,6 +98,7 @@ class ChainComplex:
         self._diff = diff
         self.label = label
         self._matrix_cache = {}
+        self._rank_cache = {}
 
     @property
     def n_max(self):
@@ -88,54 +107,64 @@ class ChainComplex:
     def dim(self, n):
         return len(self.terms.get(n, ()))
 
+    def _key(self, n, term):
+        return term
+
+    def _term(self, n, key):
+        return key
+
+    def _idiff(self, n, key):
+        return self._diff(n, key).data
+
+    def _lin(self, n, image):
+        """The Lin over degree-n terms of an encoded image of scale * d."""
+        scale = self.scale
+        return Lin.wrap({
+            self._term(n, k): c if scale == 1 else Fraction(c, scale)
+            for k, c in image.items()})
+
     def diff(self, n, term):
-        return self._diff(n, term)
+        return self._lin(n - 1, self._idiff(n, self._key(n, term)))
 
     def diff_lin(self, n, x: Lin) -> Lin:
         acc = {}
         for t, c in x.data.items():
-            for u, d in self._diff(n, t).data.items():
-                s = acc.get(u, 0) + c * d
-                if s:
-                    acc[u] = s
-                elif u in acc:
-                    del acc[u]
-        out = Lin.__new__(Lin)
-        out.data = acc
-        return out
+            accumulate(acc, self._idiff(n, self._key(n, t)).items(), c)
+        return self._lin(n - 1, acc)
 
     def matrix(self, n):
         """Sparse columns of d_n : C_n -> C_{n-1}."""
-        if n in self._matrix_cache:
-            return self._matrix_cache[n]
-        if n <= 1 or n not in self.terms:
-            cols = [dict() for _ in self.terms.get(n, ())]
-        else:
-            rows = self.index[n - 1]
-            cols = []
-            for t in self.terms[n]:
-                img = self._diff(n, t)
-                cols.append({rows[u]: c for u, c in img.data.items()})
-        self._matrix_cache[n] = cols
+        cols = self._matrix_cache.get(n)
+        if cols is None:
+            cols = self._matrix_cache[n] = self._columns(n)
         return cols
 
+    def _columns(self, n):
+        terms = self.terms.get(n, ())
+        if n <= 1 or not terms:
+            return [{} for _ in terms]
+        rows = {self._key(n - 1, t): i
+                for i, t in enumerate(self.terms[n - 1])}
+        scale = self.scale
+        return [
+            {rows[k]: c if scale == 1 else Fraction(c, scale)
+             for k, c in self._idiff(n, self._key(n, t)).items()}
+            for t in terms]
+
     def verify_d_squared(self):
+        """Check d o d = 0 exactly on every basis term; (scale * d)^2 is
+        checked, which vanishes exactly when d^2 does."""
         for n in sorted(self.terms):
             if n < 2 or (n - 1) not in self.terms:
                 continue
             memo = {}
             for t in self.terms[n]:
                 acc = {}
-                for u, c in self._diff(n, t).data.items():
+                for u, c in self._idiff(n, self._key(n, t)).items():
                     du = memo.get(u)
                     if du is None:
-                        du = memo[u] = self._diff(n - 1, u).data
-                    for v, d in du.items():
-                        s = acc.get(v, 0) + c * d
-                        if s:
-                            acc[v] = s
-                        elif v in acc:
-                            del acc[v]
+                        du = memo[u] = self._idiff(n - 1, u)
+                    accumulate(acc, du.items(), c)
                 if acc:
                     raise AssertionError(
                         "d^2 != 0 at degree %d on %r" % (n, t))
@@ -144,7 +173,11 @@ class ChainComplex:
     def rank(self, n):
         if n not in self.terms or n <= 1:
             return 0
-        return rank_of_columns(self.matrix(n), nrows=self.dim(n - 1))
+        r = self._rank_cache.get(n)
+        if r is None:
+            r = self._rank_cache[n] = rank_of_columns(
+                self.matrix(n), nrows=self.dim(n - 1))
+        return r
 
     def betti(self, n):
         """dim H_n; requires degree n+1 to be part of the complex (or n to
@@ -155,6 +188,138 @@ class ChainComplex:
 
     def betti_table(self, up_to):
         return {n: self.betti(n) for n in range(1, up_to + 1)}
+
+
+# ---------------------------------------------------------------------------
+# the faced-complex kernel
+# ---------------------------------------------------------------------------
+
+class IndexSet(NamedTuple):
+    """The index sets X_n of a faced complex.
+
+    `points(n)` lists X_n in basis order, `face(x, i)` is face i of x (an
+    element of X_{n-1}) and `symbol(x, i)` names the product that face i
+    applies, one of `symbols`.  A bare index set is a single point and its
+    terms are bare entry tuples.
+    """
+
+    points: Callable
+    face: Callable
+    symbol: Callable
+    symbols: tuple
+    bare: bool = False
+
+
+def cdend_symbol(i, r):
+    """Product used when face i hits the component r: star away from r, succ
+    just below, prec at r."""
+    if i == r - 1:
+        return "succ"
+    if i == r:
+        return "prec"
+    return "star"
+
+
+def cdend_face_index(i, r):
+    return r - 1 if i <= r - 1 else r
+
+
+def _level_side(s, i):
+    # the level tree of s is read in the height coding (root level 1), so
+    # leaf i points left exactly when s(i) < s(i+1)
+    return LEFT if s(i) < s(i + 1) else RIGHT
+
+
+# the enumerators are looked up when called, so that a wrapper installed on
+# this module's names sees every call
+_INDEX_SETS = {
+    "CY": IndexSet(lambda n: enumerate_trees(n), face, product_symbol,
+                   (LEFT, RIGHT)),
+    "CS": IndexSet(lambda n: all_permutations(n), perm_face, _level_side,
+                   (LEFT, RIGHT)),
+    "CDend": IndexSet(lambda n: range(1, n + 1),
+                      lambda r, i: cdend_face_index(i, r),
+                      lambda r, i: cdend_symbol(i, r),
+                      ("prec", "succ", "star")),
+    "CZinb": IndexSet(lambda n: (None,), lambda x, i: None,
+                      lambda x, i: "dot" if i == 1 else "star",
+                      ("dot", "star"), bare=True),
+}
+
+
+class FacedComplex(ChainComplex):
+    """The faced complex  K[X_n] (x) A^(x)n  with
+
+        d (x; a_1..a_n) = sum_{i=1}^{n-1} (-1)^(i+1)
+                          (face_i x; a_1..mu_{sym(x,i)}(a_i, a_{i+1})..a_n).
+
+    `index` is an IndexSet; `products[symbol]` sends a pair (a, b) of basis
+    elements of A to the pairs (c, coefficient) of  D * mu(a, b).
+
+    The term (x; a_1..a_n) is keyed (position of x in X_n, (a_1..a_n)).  The
+    first differential asked of degree n gives X_n integer tables: face[x][i]
+    is the position of face_i x in X_{n-1}, sym[x][i] the product of face i.
+
+    Finite structure constants are stored as integer numerators over one
+    common denominator D, the lcm of all their denominators; free products
+    are integral, with D = 1.  Every face applies exactly one product, so
+    the stored differential is exactly D * d.  Hence (D d)^2 = D^2 d^2
+    vanishes exactly when d^2 does and rank(D d) = rank d: the d^2 check
+    runs in integers and stays exact for rational structure constants, not
+    only integral ones.  `diff`, `diff_lin` and `matrix` divide by D.
+    """
+
+    def __init__(self, theory, terms, index, products, scale=1, label=""):
+        super().__init__(theory, terms, label=label)
+        self._ix = index
+        self._products = products
+        self.scale = scale
+        self._points = {}
+        self._faces = {}
+
+    def _points_of(self, n):
+        """X_n and the position of each of its points."""
+        X = self._points.get(n)
+        if X is None:
+            pts = tuple(self._ix.points(n))
+            X = self._points[n] = pts, {x: j for j, x in enumerate(pts)}
+        return X
+
+    def _key(self, n, term):
+        if self._ix.bare:
+            return 0, term
+        x, entries = term
+        return self._points_of(n)[1][x], entries
+
+    def _term(self, n, key):
+        j, entries = key
+        return entries if self._ix.bare else (self._points_of(n)[0][j],
+                                              entries)
+
+    def _face_table(self, n):
+        """Per point of X_n: (i, face position, product, sign) for each face
+        i = 1..n-1."""
+        table = self._faces.get(n)
+        if table is None:
+            ix, products = self._ix, self._products
+            pos = self._points_of(n - 1)[1] if n > 1 else {}
+            table = self._faces[n] = [
+                tuple((i, pos[ix.face(x, i)], products[ix.symbol(x, i)],
+                       1 if i % 2 else -1) for i in range(1, n))
+                for x in self._points_of(n)[0]]
+        return table
+
+    def _idiff(self, n, key):
+        j, e = key
+        acc = {}
+        for i, fj, mul, sign in self._face_table(n)[j]:
+            pairs = mul(e[i - 1:i + 1])
+            if pairs:
+                head, tail = e[:i - 1], e[i + 1:]
+                accumulate(
+                    acc, (((fj, head + (b,) + tail), c) for b, c in pairs),
+                    sign)
+        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +340,41 @@ def _merge(entry_tuple, i, vec):
     return out
 
 
+def _product_vector(alg, symbol, a, b):
+    """Dense product of basis elements a, b for a face symbol: a product of
+    `alg`, or star, the sum of the two half-products (dendriform) or the
+    symmetrized product (Zinbiel)."""
+    if symbol != "star":
+        return alg.mul_basis(symbol, a, b)
+    if alg.kind == "zinbiel":
+        u, v = alg.mul_basis("dot", a, b), alg.mul_basis("dot", b, a)
+    else:
+        u, v = alg.mul_basis("prec", a, b), alg.mul_basis("succ", a, b)
+    return tuple(x + y for x, y in zip(u, v))
+
+
+def _finite(theory, alg, n_max):
+    index = _INDEX_SETS[theory]
+    pairs = list(itertools.product(range(alg.dim), repeat=2))
+    vectors = {sym: {ab: _product_vector(alg, sym, *ab) for ab in pairs}
+               for sym in index.symbols}
+    scale = lcm(*(c.denominator for tab in vectors.values()
+                  for vec in tab.values() for c in vec))
+    products = {
+        sym: {ab: tuple((b, c.numerator * (scale // c.denominator))
+                        for b, c in enumerate(vec) if c)
+              for ab, vec in tab.items()}.__getitem__
+        for sym, tab in vectors.items()
+    }
+    terms = {
+        n: list(_tuples(alg.dim, n)) if index.bare else
+        [(x, e) for x in index.points(n) for e in _tuples(alg.dim, n)]
+        for n in range(1, n_max + 1)
+    }
+    return FacedComplex(theory, terms, index, products, scale,
+                        label="%s(%s)" % (theory, alg.name))
+
+
 def build_complex(theory, source, n_max, weight=None):
     """Chain complex of a finite or free algebra.
 
@@ -190,14 +390,9 @@ def build_complex(theory, source, n_max, weight=None):
         if source.kind != want:
             raise UnsupportedTheoryForSource(
                 "%s needs a %s source, got %s" % (theory, want, source.kind))
-        builder = {
-            "CY": _cy_finite,
-            "CS": _cs_finite,
-            "CDend": _cdend_finite,
-            "CL": _cl_finite,
-            "CZinb": _czinb_finite,
-        }[theory]
-        return builder(source, n_max)
+        if theory == "CL":
+            return _cl_finite(source, n_max)
+        return _finite(theory, source, n_max)
     if isinstance(source, tuple) and source and source[0] == "free":
         if weight is None:
             raise UnsupportedTheoryForSource(
@@ -212,182 +407,20 @@ def build_complex(theory, source, n_max, weight=None):
     raise UnsupportedTheoryForSource("unusable source %r" % (source,))
 
 
-def _sparse_tables(alg, products):
-    return {
-        prod: {
-            (i, j): [(b, c)
-                     for b, c in enumerate(alg.mul_basis(prod, i, j)) if c]
-            for i in range(alg.dim)
-            for j in range(alg.dim)
-        }
-        for prod in products
-    }
-
-
-def _cy_finite(alg, n_max):
-    terms = {
-        n: [
-            (y, t)
-            for y in enumerate_trees(n)
-            for t in _tuples(alg.dim, n)
-        ]
-        for n in range(1, n_max + 1)
-    }
-    tables = _sparse_tables(alg, (LEFT, RIGHT))
-
-    def diff(n, term):
-        y, entries = term
-        n = y.degree
-        acc = {}
-        for i in range(1, n):
-            pairs = tables[product_symbol(y, i)][entries[i - 1], entries[i]]
-            if not pairs:
-                continue
-            fy = face(y, i)
-            sign = -((-1) ** i)
-            head = entries[:i - 1]
-            tail = entries[i + 1:]
-            for b, c in pairs:
-                key = (fy, head + (b,) + tail)
-                s = acc.get(key, 0) + sign * c
-                if s:
-                    acc[key] = s
-                elif key in acc:
-                    del acc[key]
-        out = Lin.__new__(Lin)
-        out.data = acc
-        return out
-
-    return ChainComplex("CY", terms, diff, label="CY(%s)" % alg.name)
-
-
-def _cs_finite(alg, n_max):
-    terms = {
-        n: [
-            (s, t)
-            for s in all_permutations(n)
-            for t in _tuples(alg.dim, n)
-        ]
-        for n in range(1, n_max + 1)
-    }
-
-    tables = _sparse_tables(alg, (LEFT, RIGHT))
-
-    def diff(n, term):
-        # the level tree of s is read in the height coding (root level 1),
-        # so leaf i points left exactly when s(i) < s(i+1)
-        s, entries = term
-        acc = {}
-        for i in range(1, s.n):
-            side = LEFT if s(i) < s(i + 1) else RIGHT
-            pairs = tables[side][entries[i - 1], entries[i]]
-            if not pairs:
-                continue
-            fs = perm_face(s, i)
-            sign = -((-1) ** i)
-            head = entries[:i - 1]
-            tail = entries[i + 1:]
-            for b, c in pairs:
-                key = (fs, head + (b,) + tail)
-                v = acc.get(key, 0) + sign * c
-                if v:
-                    acc[key] = v
-                elif key in acc:
-                    del acc[key]
-        out = Lin.__new__(Lin)
-        out.data = acc
-        return out
-
-    return ChainComplex("CS", terms, diff, label="CS(%s)" % alg.name)
-
-
-def cdend_symbol(i, r):
-    """Product used when face i hits the component r: star away from r, succ
-    just below, prec at r."""
-    if i == r - 1:
-        return "succ"
-    if i == r:
-        return "prec"
-    return "star"
-
-
-def cdend_face_index(i, r):
-    return r - 1 if i <= r - 1 else r
-
-
-def _cdend_finite(alg, n_max):
-    terms = {
-        n: [
-            (r, t)
-            for r in range(1, n + 1)
-            for t in _tuples(alg.dim, n)
-        ]
-        for n in range(1, n_max + 1)
-    }
-
-    def mul(op, a, b):
-        if op == "star":
-            return tuple(
-                x + y
-                for x, y in zip(
-                    alg.mul_basis("prec", a, b), alg.mul_basis("succ", a, b)))
-        return alg.mul_basis(op, a, b)
-
-    def diff(n, term):
-        r, entries = term
-        out = Lin()
-        for i in range(1, n):
-            vec = mul(cdend_symbol(i, r), entries[i - 1], entries[i])
-            fr = cdend_face_index(i, r)
-            sign = -((-1) ** i)
-            out = out + Lin(
-                {(fr, t): sign * c for t, c in _merge(entries, i - 1, vec)})
-        return out
-
-    return ChainComplex("CDend", terms, diff, label="CDend(%s)" % alg.name)
-
-
 def _cl_finite(alg, n_max):
     terms = {n: list(_tuples(alg.dim, n)) for n in range(1, n_max + 1)}
 
     def diff(n, entries):
-        out = Lin()
+        acc = {}
         for j in range(2, n + 1):
+            rest = entries[:j - 1] + entries[j:]
             for i in range(1, j):
                 vec = alg.mul_basis("bracket", entries[i - 1], entries[j - 1])
-                rest = entries[:j - 1] + entries[j:]
-                sign = (-1) ** j
-                out = out + Lin(
-                    {rest[:i - 1] + (b,) + rest[i:]: sign * c
-                     for b, c in enumerate(vec) if c})
-        return out
+                accumulate(acc, ((rest[:i - 1] + (b,) + rest[i:], c)
+                                 for b, c in enumerate(vec) if c), (-1) ** j)
+        return Lin.wrap(acc)
 
     return ChainComplex("CL", terms, diff, label="CL(%s)" % alg.name)
-
-
-def _czinb_finite(alg, n_max):
-    terms = {n: list(_tuples(alg.dim, n)) for n in range(1, n_max + 1)}
-
-    def star(a, b):
-        return tuple(
-            x + y
-            for x, y in zip(alg.mul_basis("dot", a, b),
-                            alg.mul_basis("dot", b, a)))
-
-    def diff(n, entries):
-        out = Lin()
-        vec = alg.mul_basis("dot", entries[0], entries[1]) if n >= 2 else None
-        if n >= 2:
-            out = out + Lin(
-                {t: c for t, c in _merge(entries, 0, vec)})
-        for i in range(2, n):
-            sign = (-1) ** (i - 1)
-            vec = star(entries[i - 1], entries[i])
-            out = out + Lin(
-                {t: sign * c for t, c in _merge(entries, i - 1, vec)})
-        return out
-
-    return ChainComplex("CZinb", terms, diff, label="CZinb(%s)" % alg.name)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +436,29 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def _gen_names(dim_v):
-    return ["x%d" % (i + 1) for i in range(dim_v)]
+def _free_piece(theory, dim_v, weight, words, products, source):
+    """The weight piece of the faced complex of a free algebra: terms
+    (x; w_1..w_n) with x in X_n and w_i in words(letters, l_i), the lengths
+    l_i summing to the weight, ordered by x and then by the words."""
+    if dim_v < 1 or weight < 1:
+        raise DegreeOutOfRange(
+            "free pieces need dim_v >= 1 and weight >= 1, got dim_v=%d, "
+            "weight=%d" % (dim_v, weight))
+    letters = ["x%d" % (i + 1) for i in range(dim_v)]
+    basis = [()] + [tuple(words(letters, l)) for l in range(1, weight + 1)]
+    index = _INDEX_SETS[theory]
+    terms = {}
+    for n in range(1, weight + 1):
+        combos = sorted(
+            (combo for comp in _compositions(weight, n)
+             for combo in itertools.product(*(basis[l] for l in comp))),
+            key=lambda c: tuple(w.sort_key() for w in c))
+        terms[n] = [(x, combo) for x in index.points(n) for combo in combos]
+    cx = FacedComplex(theory, terms, index, products,
+                      label="%s(free %s dim V=%d), weight %d"
+                            % (theory, source, dim_v, weight))
+    cx.weight = weight
+    return cx
 
 
 def _pointed_words(letters, length):
@@ -413,89 +467,35 @@ def _pointed_words(letters, length):
             yield PointedWord(ltrs, p)
 
 
-def _dias_merge(a: PointedWord, b: PointedWord, side) -> PointedWord:
-    letters = a.letters + b.letters
-    ptr = a.pointer if side == LEFT else len(a.letters) + b.pointer
-    return PointedWord(letters, ptr)
+def _dend_terms(letters, length):
+    for t in enumerate_trees(length):
+        for ltrs in itertools.product(letters, repeat=length):
+            yield DendTerm(t, ltrs)
 
 
 def build_cy_free(dim_v, weight) -> ChainComplex:
     """Weight-homogeneous piece of the free-dialgebra complex."""
-    letters = _gen_names(dim_v)
-    terms = {}
-    for n in range(1, weight + 1):
-        Ts = []
-        for comp in _compositions(weight, n):
-            blocks = [tuple(_pointed_words(letters, l)) for l in comp]
-            for y in enumerate_trees(n):
-                for combo in itertools.product(*blocks):
-                    Ts.append((y, combo))
-        Ts.sort(key=lambda t: (t[0].sort_key(),
-                               tuple(w.sort_key() for w in t[1])))
-        terms[n] = Ts
+    def merge(side):
+        return lambda ab: ((freealg.dias_term(*ab, side), 1),)
 
-    def diff(n, term):
-        y, entries = term
-        out = Lin()
-        for i in range(1, y.degree):
-            side = product_symbol(y, i)
-            merged = _dias_merge(entries[i - 1], entries[i], side)
-            sign = -((-1) ** i)
-            out = out + Lin.term(
-                (face(y, i),
-                 entries[:i - 1] + (merged,) + entries[i + 1:]),
-                sign)
-        return out
-
-    cx = ChainComplex("CY", terms, diff,
-                      label="CY(free dialgebra dim V=%d), weight %d"
-                            % (dim_v, weight))
-    cx.weight = weight
-    return cx
+    return _free_piece("CY", dim_v, weight, _pointed_words,
+                       {side: merge(side) for side in (LEFT, RIGHT)},
+                       "dialgebra")
 
 
 def build_cdend_free(dim_v, weight) -> ChainComplex:
     """Weight-homogeneous piece of the free-dendriform complex."""
-    letters = _gen_names(dim_v)
-    from .freealg import dend_mul
+    def product(op):
+        # free dendriform products have integer coefficients; each one is
+        # computed once per complex, through freealg.dend_mul
+        return functools.cache(lambda ab: tuple(
+            (t, int(c)) for t, c in freealg.dend_mul(
+                Lin.term(ab[0]), Lin.term(ab[1]), op).data.items()))
 
-    terms = {}
-    for n in range(1, weight + 1):
-        Ts = []
-        for comp in _compositions(weight, n):
-            blocks = [
-                tuple(
-                    DendTerm(t, ltrs)
-                    for t in enumerate_trees(l)
-                    for ltrs in itertools.product(letters, repeat=l)
-                )
-                for l in comp
-            ]
-            for r in range(1, n + 1):
-                for combo in itertools.product(*blocks):
-                    Ts.append((r, combo))
-        Ts.sort(key=lambda t: (t[0], tuple(w.sort_key() for w in t[1])))
-        terms[n] = Ts
-
-    def diff(n, term):
-        r, entries = term
-        out = Lin()
-        for i in range(1, n):
-            op = cdend_symbol(i, r)
-            prod = dend_mul(
-                Lin.term(entries[i - 1]), Lin.term(entries[i]), op)
-            fr = cdend_face_index(i, r)
-            sign = -((-1) ** i)
-            for t, c in prod.data.items():
-                out = out + Lin.term(
-                    (fr, entries[:i - 1] + (t,) + entries[i + 1:]), sign * c)
-        return out
-
-    cx = ChainComplex("CDend", terms, diff,
-                      label="CDend(free dendriform dim V=%d), weight %d"
-                            % (dim_v, weight))
-    cx.weight = weight
-    return cx
+    return _free_piece("CDend", dim_v, weight, _dend_terms,
+                       {op: product(op)
+                        for op in _INDEX_SETS["CDend"].symbols},
+                       "dendriform")
 
 
 # ---------------------------------------------------------------------------
@@ -515,33 +515,39 @@ def cy_split_diff(cx: ChainComplex, n, term):
     anticommute.
     """
     p, q = cy_bidegree(term)
-    total = cx.diff(n, term)
-    horiz, vert = Lin(), Lin()
-    for t, c in total.data.items():
-        bp, bq = cy_bidegree(t)
-        if (bp, bq) == (p - 1, q):
-            horiz = horiz + Lin.term(t, c)
-        elif (bp, bq) == (p, q - 1):
-            vert = vert + Lin.term(t, c)
-        else:
-            raise AssertionError("face escaped the bicomplex at %r" % (t,))
-    return horiz, vert
+
+    def part(t):
+        bpq = cy_bidegree(t)
+        if bpq == (p - 1, q):
+            return 0
+        if bpq == (p, q - 1):
+            return 1
+        raise AssertionError("face escaped the bicomplex at %r" % (t,))
+
+    return _split(cx.diff(n, term), part)
 
 
 def cdend_split_diff(cx: ChainComplex, n, term):
     """(horizontal, vertical) parts for CDend: faces below the component
     index lower it (horizontal), the others keep it (vertical)."""
     r = term[0]
-    total = cx.diff(n, term)
-    horiz, vert = Lin(), Lin()
-    for t, c in total.data.items():
+
+    def part(t):
         if t[0] == r - 1 and r > 1:
-            horiz = horiz + Lin.term(t, c)
-        elif t[0] == r:
-            vert = vert + Lin.term(t, c)
-        else:
-            raise AssertionError("face escaped the bicomplex at %r" % (t,))
-    return horiz, vert
+            return 0
+        if t[0] == r:
+            return 1
+        raise AssertionError("face escaped the bicomplex at %r" % (t,))
+
+    return _split(cx.diff(n, term), part)
+
+
+def _split(total: Lin, part):
+    """(horizontal, vertical) Lins of `total`, term t going to part(t)."""
+    halves = ({}, {})
+    for t, c in total.data.items():
+        halves[part(t)][t] = c
+    return Lin.wrap(halves[0]), Lin.wrap(halves[1])
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +557,8 @@ def cdend_split_diff(cx: ChainComplex, n, term):
 def cy_face(alg, term, i):
     """Single face d_i on a CY term over a finite dialgebra, as a Lin."""
     y, entries = term
-    side = product_symbol(y, i)
-    vec = alg.mul_basis(side, entries[i - 1], entries[i])
+    vec = _product_vector(
+        alg, product_symbol(y, i), entries[i - 1], entries[i])
     fy = face(y, i)
     return Lin({(fy, t): c for t, c in _merge(entries, i - 1, vec)})
 
@@ -560,15 +566,8 @@ def cy_face(alg, term, i):
 def cdend_face(alg, term, i):
     """Single face d_i on a CDend term over a finite dendriform algebra."""
     r, entries = term
-    op = cdend_symbol(i, r)
-    if op == "star":
-        vec = tuple(
-            a + b
-            for a, b in zip(
-                alg.mul_basis("prec", entries[i - 1], entries[i]),
-                alg.mul_basis("succ", entries[i - 1], entries[i])))
-    else:
-        vec = alg.mul_basis(op, entries[i - 1], entries[i])
+    vec = _product_vector(
+        alg, cdend_symbol(i, r), entries[i - 1], entries[i])
     fr = cdend_face_index(i, r)
     return Lin({(fr, t): c for t, c in _merge(entries, i - 1, vec)})
 
@@ -576,13 +575,9 @@ def cdend_face(alg, term, i):
 def cy_degeneracy(term, i, unit_vec):
     """s_i: bifurcate leaf i and insert the bar-unit after entry i."""
     y, entries = term
-    out = Lin()
     sy = bifurcate(y, i)
-    for b, c in enumerate(unit_vec):
-        if c:
-            out = out + Lin.term(
-                (sy, entries[:i] + (b,) + entries[i:]), c)
-    return out
+    return Lin({(sy, entries[:i] + (b,) + entries[i:]): c
+                for b, c in enumerate(unit_vec) if c})
 
 
 # ---------------------------------------------------------------------------
@@ -629,10 +624,7 @@ def homotopy_free_dialgebra(term_or_lin, n=None) -> Lin:
     vanishing exactly at those weights instead.
     """
     if isinstance(term_or_lin, Lin):
-        out = Lin()
-        for t, c in term_or_lin.data.items():
-            out = out + c * homotopy_free_dialgebra(t)
-        return out
+        return term_or_lin.map_terms(homotopy_free_dialgebra)
 
     y, entries = term_or_lin
     n = y.degree
@@ -683,14 +675,6 @@ def contraction_by_elimination(cx: ChainComplex, n_top=None):
     n_top = n_top or cx.n_max
     h = {n: {} for n in range(1, n_top + 1)}
 
-    def h_apply(n, x: Lin) -> Lin:
-        out = Lin()
-        for t, c in x.data.items():
-            img = h[n].get(t)
-            if img is not None:
-                out = out + c * img
-        return out
-
     for n in range(1, n_top + 1):
         cols = cx.terms.get(n + 1, ())
         rows = {t: i for i, t in enumerate(cx.terms[n])}
@@ -702,7 +686,7 @@ def contraction_by_elimination(cx: ChainComplex, n_top=None):
         for term in cx.terms[n]:
             g = Lin.term(term)
             if n >= 2:
-                g = g - h_apply(n - 1, cx.diff(n, term))
+                g = g - cx.diff(n, term).map_terms(h[n - 1].get)
             rhs = [Fraction(0)] * len(rows)
             for u, c in g.data.items():
                 rhs[rows[u]] = c
@@ -778,10 +762,7 @@ def theta_map(term) -> Lin:
 def chain_map(kind, term_or_lin):
     """epsilon / psi / theta on a term or a Lin of terms."""
     if isinstance(term_or_lin, Lin):
-        out = Lin()
-        for t, c in term_or_lin.data.items():
-            out = out + c * chain_map(kind, t)
-        return out
+        return term_or_lin.map_terms(lambda t: chain_map(kind, t))
     if kind == "epsilon":
         return epsilon_map(len(term_or_lin), term_or_lin)
     if kind == "psi":

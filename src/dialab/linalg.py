@@ -9,22 +9,20 @@ about row spaces), eliminating along whichever dimension is smaller.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _int_row(row):
     """Clear denominators and divide by the content; {} for a zero row."""
-    items = {k: Fraction(v) for k, v in row.items() if v}
-    if not items:
+    ints = {k: v for k, v in row.items() if v}
+    if not ints:
         return {}
-    denom = 1
-    for v in items.values():
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = {k: int(v * denom) for k, v in items.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-    return {k: v // g for k, v in ints.items()}
+    if not all(type(v) is int for v in ints.values()):
+        items = {k: Fraction(v) for k, v in ints.items()}
+        denom = lcm(*(v.denominator for v in items.values()))
+        ints = {k: int(v * denom) for k, v in items.items()}
+    g = gcd(*ints.values())
+    return {k: v // g for k, v in ints.items()} if g > 1 else ints
 
 
 def _reduce_content(row):
@@ -192,11 +190,11 @@ class FactoredSolver:
 
     def solve(self, rhs):
         """One solution of A x = rhs, or None when inconsistent."""
-        rhs = [Fraction(x) for x in rhs]
+        nonzero = [(self.n_cols + i, Fraction(x))
+                   for i, x in enumerate(rhs) if x]
 
         def transformed(row):
-            return sum(
-                row[self.n_cols + i] * rhs[i] for i in range(self.n_rows))
+            return sum((row[k] * x for k, x in nonzero), Fraction(0))
 
         for row in self.checks:
             if transformed(row):

@@ -22,6 +22,18 @@ def _coeff(c):
     raise TypeError("coefficient must be int, str or Fraction, got %r" % (c,))
 
 
+def accumulate(acc, items, scale=1):
+    """Add scale * c into the dict `acc` for every (term, c) of `items`, in
+    place; a term whose coefficient cancels to zero is removed."""
+    for t, c in items:
+        s = acc.get(t, 0) + scale * c
+        if s:
+            acc[t] = s
+        elif t in acc:
+            del acc[t]
+    return acc
+
+
 def _key(term):
     k = getattr(term, "sort_key", None)
     if k is not None:
@@ -60,6 +72,14 @@ class Lin:
     def zero(cls):
         return cls()
 
+    @classmethod
+    def wrap(cls, data):
+        """The Lin of a {term: coefficient} dict holding no zero
+        coefficient, taking the dict over without a copy."""
+        res = cls.__new__(cls)
+        res.data = data
+        return res
+
     def __bool__(self):
         return bool(self.data)
 
@@ -72,16 +92,7 @@ class Lin:
         return hash(frozenset(self.data.items()))
 
     def __add__(self, other):
-        out = dict(self.data)
-        for t, c in other.data.items():
-            s = out.get(t, 0) + c
-            if s:
-                out[t] = s
-            elif t in out:
-                del out[t]
-        res = Lin.__new__(Lin)
-        res.data = out
-        return res
+        return Lin.wrap(accumulate(dict(self.data), other.data.items()))
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -91,12 +102,9 @@ class Lin:
 
     def __rmul__(self, scalar):
         scalar = _coeff(scalar)
-        res = Lin.__new__(Lin)
         if not scalar:
-            res.data = {}
-        else:
-            res.data = {t: scalar * c for t, c in self.data.items()}
-        return res
+            return Lin()
+        return Lin.wrap({t: scalar * c for t, c in self.data.items()})
 
     def __mul__(self, scalar):
         return self.__rmul__(scalar)
@@ -113,15 +121,16 @@ class Lin:
 
     def map_terms(self, fn):
         """Linear extension of a basis-level map `term -> Lin | term | None`."""
-        out = Lin()
+        acc = {}
         for t, c in self.data.items():
             img = fn(t)
             if img is None:
                 continue
-            if not isinstance(img, Lin):
-                img = Lin.term(img)
-            out = out + c * img
-        return out
+            if isinstance(img, Lin):
+                accumulate(acc, img.data.items(), c)
+            else:
+                accumulate(acc, ((img, c),))
+        return Lin.wrap(acc)
 
     def support(self):
         return set(self.data)
@@ -148,15 +157,16 @@ def bilinear(fn):
     """Lift a basis-level product `(s, t) -> Lin | term | None` to Lin x Lin."""
 
     def lifted(a, b, *args, **kwargs):
-        out = Lin()
+        acc = {}
         for s, cs in a.data.items():
             for t, ct in b.data.items():
                 img = fn(s, t, *args, **kwargs)
                 if img is None:
                     continue
-                if not isinstance(img, Lin):
-                    img = Lin.term(img)
-                out = out + (cs * ct) * img
-        return out
+                if isinstance(img, Lin):
+                    accumulate(acc, img.data.items(), cs * ct)
+                else:
+                    accumulate(acc, ((img, cs * ct),))
+        return Lin.wrap(acc)
 
     return lifted

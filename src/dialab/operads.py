@@ -18,7 +18,7 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from .errors import SlotOutOfRange, UnknownPreset
+from .errors import DegreeOutOfRange, SlotOutOfRange, UnknownPreset
 from .freealg import eval_tree_monomial
 from .lincomb import Lin
 from .linalg import nullspace, row_space_basis, same_row_space
@@ -235,7 +235,7 @@ def dend_series_closed_form(order) -> Series:
 def poincare_check(order=10):
     """Both series, their closed forms, and the inverse-composition verdict."""
     if not 1 <= order <= 20:
-        raise SlotOutOfRange("series order must be between 1 and 20")
+        raise DegreeOutOfRange("series order must be between 1 and 20")
     gd = dias_series(order)
     ge = dend_series(order)
     composed = ge.compose(gd)
@@ -400,5 +400,5 @@ class SHRelation:
 def sh_relations(n: int):
     """One relation per tree of degree n, 1 <= n <= 6."""
     if not 1 <= n <= 6:
-        raise SlotOutOfRange("relations are generated for degrees 1..6")
+        raise DegreeOutOfRange("relations are generated for degrees 1..6")
     return [(y, SHRelation(y)) for y in enumerate_trees(n)]

@@ -122,6 +122,25 @@ def test_homology_free_piece(capsys):
     assert json.loads(out)["betti"] == {"1": 1}
 
 
+def test_empty_free_pieces_are_refused(capsys):
+    for theory in ("CY", "CDend"):
+        for dimv, weight in (("-1", "3"), ("0", "3"), ("1", "0")):
+            code, out = run_cli(capsys, "homology", "--free", "--theory",
+                                theory, "--dimv", dimv, "--weight", weight,
+                                "--json")
+            assert code == 1
+            assert json.loads(out)["error"] == "DegreeOutOfRange"
+
+
+def test_degree_guards_raise_degree_out_of_range(capsys):
+    for argv in (("poincare", "--degree", "-3", "--json"),
+                 ("sh-relations", "--n", "0", "--json"),
+                 ("sh-relations", "--n", "7", "--json")):
+        code, out = run_cli(capsys, *argv)
+        assert code == 1
+        assert json.loads(out)["error"] == "DegreeOutOfRange"
+
+
 def test_koszul_dual_cli(capsys):
     code, out = run_cli(capsys, "koszul-dual", "--preset", "dias", "--json")
     doc = json.loads(out)

@@ -16,6 +16,7 @@ from dialab.homology import (
     build_cy_free,
     cdend_face,
     cdend_split_diff,
+    cdend_symbol,
     chain_map,
     cy_bidegree,
     cy_degeneracy,
@@ -30,8 +31,10 @@ from dialab.trees import (
     all_permutations,
     catalan,
     enumerate_trees,
+    face,
     parse_name,
     parse_permutation,
+    perm_face,
 )
 
 
@@ -90,6 +93,87 @@ def test_d_squared_zero_other_theories():
     build_complex(
         "CZinb", fixture("truncated_free_zinbiel", dim_v=1, maxdeg=3),
         5).verify_d_squared()
+
+
+def _rescaled(alg, lam):
+    """The isomorphic algebra in the basis lam_i e_i."""
+    k = range(alg.dim)
+    tables = {
+        prod: [[[lam[i] * lam[j] * tab[i][j][t] / lam[t] for t in k]
+                for j in k] for i in k]
+        for prod, tab in alg.tables.items()
+    }
+    return FiniteAlgebra(alg.kind, alg.basis, tables, name=alg.name + "~")
+
+
+def _reference_diff(theory, alg, n, term):
+    """d on one basis term, written out face by face from the structure
+    constants, with Lin arithmetic over the rationals."""
+    x, entries = (None, term) if theory == "CZinb" else term
+    out = Lin()
+    for i in range(1, n):
+        a, b = entries[i - 1], entries[i]
+        if theory == "CY":
+            fx = face(x, i)
+            side = "left" if x.name[i - 1] > x.name[i] else "right"
+            vec = alg.mul_basis(side, a, b)
+        elif theory == "CS":
+            fx = perm_face(x, i)
+            side = "left" if x(i) < x(i + 1) else "right"
+            vec = alg.mul_basis(side, a, b)
+        elif theory == "CDend":
+            fx = x - 1 if i < x else x
+            op = cdend_symbol(i, x)
+            vec = alg.mul_basis(op, a, b) if op != "star" else [
+                u + v for u, v in zip(alg.mul_basis("prec", a, b),
+                                      alg.mul_basis("succ", a, b))]
+        else:
+            vec = alg.mul_basis("dot", a, b)
+            if i > 1:
+                vec = [u + v for u, v in zip(vec, alg.mul_basis("dot", b, a))]
+        for c, coeff in enumerate(vec):
+            if coeff:
+                merged = entries[:i - 1] + (c,) + entries[i + 1:]
+                out = out + Lin.term(
+                    merged if theory == "CZinb" else (fx, merged),
+                    (-1) ** (i + 1) * coeff)
+    return out
+
+
+# three-dimensional sources with integer structure constants
+KERNEL_SOURCES = [
+    ("CY", "diff_algebra", {}), ("CS", "diff_algebra", {}),
+    ("CDend", "truncated_free_dendriform", {"dim_v": 1, "maxdeg": 2}),
+    ("CZinb", "truncated_free_zinbiel", {"dim_v": 1, "maxdeg": 3}),
+]
+
+
+@pytest.mark.parametrize("theory,name,params", KERNEL_SOURCES)
+def test_faced_kernel_matches_reference_differential(theory, name, params):
+    # the rescaled copy has rational constants, stored over a common D > 1
+    integral = fixture(name, **params)
+    lam = [Fraction(2), Fraction(-1, 3), Fraction(3, 2)]
+    for alg in (integral, _rescaled(integral, lam)):
+        cx = build_complex(theory, alg, 4)
+        assert (cx.scale == 1) == (alg is integral)
+        for n in range(1, 5):
+            for t in cx.terms[n]:
+                assert cx.diff(n, t) == _reference_diff(theory, alg, n, t)
+
+
+def test_d_squared_check_catches_a_perturbed_rational_table():
+    lam = [Fraction(2), Fraction(-1, 3), Fraction(3, 2)]
+    good = _rescaled(fixture("diff_algebra"), lam)
+    tables = {p: [[list(v) for v in row] for row in tab]
+              for p, tab in good.tables.items()}
+    tables["left"][1][2][0] += Fraction(1, 7)
+    bad = FiniteAlgebra("dialgebra", good.basis, tables, check=False)
+    for theory in ("CY", "CS"):
+        build_complex(theory, good, 3).verify_d_squared()
+        cx = build_complex(theory, bad, 3)
+        assert cx.scale > 1
+        with pytest.raises(AssertionError, match="d\\^2 != 0"):
+            cx.verify_d_squared()
 
 
 def test_theory_source_mismatch():
