@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import finalg, freealg, homology, operads, trees
-from .errors import DialabError
+from .errors import DegreeOutOfRange, DialabError
 from .lincomb import Lin
 
 
@@ -178,6 +178,9 @@ def cmd_assoc(args):
 
 
 def cmd_homology(args):
+    if args.max_degree < 0:
+        raise DegreeOutOfRange(
+            "--max-degree must be >= 0, got %d" % args.max_degree)
     if args.free:
         if args.weight is None:
             raise UsageError("--free needs --weight")

@@ -26,7 +26,6 @@ the theories.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from fractions import Fraction
 from math import lcm
@@ -84,6 +83,11 @@ class ChainComplex:
     term, `_idiff(n, key)` is the image of an encoded term under
     `scale * d` as a {key: coefficient} dict, and `_term(n, key)` decodes.
     Here a key is the term itself and the scale is 1.
+
+    The sparse columns of `scale * d_n` are assembled once per degree and
+    cached.  `rank` eliminates on them directly, since
+    rank(scale * d) = rank d; `matrix` is the view of d_n itself, the same
+    columns divided by the scale.
     """
 
     scale = 1
@@ -97,6 +101,7 @@ class ChainComplex:
         }
         self._diff = diff
         self.label = label
+        self._columns_cache = {}
         self._matrix_cache = {}
         self._rank_cache = {}
 
@@ -134,22 +139,33 @@ class ChainComplex:
 
     def matrix(self, n):
         """Sparse columns of d_n : C_n -> C_{n-1}."""
-        cols = self._matrix_cache.get(n)
-        if cols is None:
-            cols = self._matrix_cache[n] = self._columns(n)
-        return cols
+        cols = self._columns(n)
+        scale = self.scale
+        if scale == 1:
+            return cols
+        mat = self._matrix_cache.get(n)
+        if mat is None:
+            mat = self._matrix_cache[n] = [
+                {i: Fraction(c, scale) for i, c in col.items()}
+                for col in cols]
+        return mat
 
     def _columns(self, n):
+        """Sparse columns of scale * d_n, assembled on the first call."""
+        cols = self._columns_cache.get(n)
+        if cols is not None:
+            return cols
         terms = self.terms.get(n, ())
         if n <= 1 or not terms:
-            return [{} for _ in terms]
-        rows = {self._key(n - 1, t): i
-                for i, t in enumerate(self.terms[n - 1])}
-        scale = self.scale
-        return [
-            {rows[k]: c if scale == 1 else Fraction(c, scale)
-             for k, c in self._idiff(n, self._key(n, t)).items()}
-            for t in terms]
+            cols = [{} for _ in terms]
+        else:
+            rows = {self._key(n - 1, t): i
+                    for i, t in enumerate(self.terms[n - 1])}
+            cols = [{rows[k]: c
+                     for k, c in self._idiff(n, self._key(n, t)).items()}
+                    for t in terms]
+        self._columns_cache[n] = cols
+        return cols
 
     def verify_d_squared(self):
         """Check d o d = 0 exactly on every basis term; (scale * d)^2 is
@@ -176,7 +192,7 @@ class ChainComplex:
         r = self._rank_cache.get(n)
         if r is None:
             r = self._rank_cache[n] = rank_of_columns(
-                self.matrix(n), nrows=self.dim(n - 1))
+                self._columns(n), nrows=self.dim(n - 1))
         return r
 
     def betti(self, n):
@@ -254,26 +270,35 @@ class FacedComplex(ChainComplex):
                           (face_i x; a_1..mu_{sym(x,i)}(a_i, a_{i+1})..a_n).
 
     `index` is an IndexSet; `products[symbol]` sends a pair (a, b) of basis
-    elements of A to the pairs (c, coefficient) of  D * mu(a, b).
+    ids of A to the pairs (c, coefficient) of  D * mu(a, b).
 
-    The term (x; a_1..a_n) is keyed (position of x in X_n, (a_1..a_n)).  The
-    first differential asked of degree n gives X_n integer tables: face[x][i]
-    is the position of face_i x in X_{n-1}, sym[x][i] the product of face i.
+    The term (x; a_1..a_n) is keyed (position of x in X_n, (id a_1..id a_n))
+    by plain ints.  A finite source numbers its basis 0..dim-1 and its terms
+    carry these numbers already.  A free piece numbers its words and passes
+    them as `words`, the decode list: its terms carry the word objects, which
+    are encoded to ids by `_key` and decoded by `_term`, so only `diff`,
+    `diff_lin` and `matrix` ever meet the objects.  The first differential
+    asked of degree n gives X_n integer tables: face[x][i] is the position of
+    face_i x in X_{n-1}, sym[x][i] the product of face i.
 
     Finite structure constants are stored as integer numerators over one
     common denominator D, the lcm of all their denominators; free products
     are integral, with D = 1.  Every face applies exactly one product, so
     the stored differential is exactly D * d.  Hence (D d)^2 = D^2 d^2
-    vanishes exactly when d^2 does and rank(D d) = rank d: the d^2 check
-    runs in integers and stays exact for rational structure constants, not
-    only integral ones.  `diff`, `diff_lin` and `matrix` divide by D.
+    vanishes exactly when d^2 does and rank(D d) = rank d: the d^2 check and
+    `rank` run in integers and stay exact for rational structure constants,
+    not only integral ones.  `diff`, `diff_lin` and `matrix` divide by D.
     """
 
-    def __init__(self, theory, terms, index, products, scale=1, label=""):
+    def __init__(self, theory, terms, index, products, scale=1, label="",
+                 words=None):
         super().__init__(theory, terms, label=label)
         self._ix = index
         self._products = products
         self.scale = scale
+        self._words = words
+        self._word_ids = (None if words is None else
+                          {w: i for i, w in enumerate(words)})
         self._points = {}
         self._faces = {}
 
@@ -289,10 +314,14 @@ class FacedComplex(ChainComplex):
         if self._ix.bare:
             return 0, term
         x, entries = term
+        if self._word_ids is not None:
+            entries = tuple(map(self._word_ids.__getitem__, entries))
         return self._points_of(n)[1][x], entries
 
     def _term(self, n, key):
         j, entries = key
+        if self._words is not None:
+            entries = tuple(map(self._words.__getitem__, entries))
         return entries if self._ix.bare else (self._points_of(n)[0][j],
                                               entries)
 
@@ -436,29 +465,85 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def _free_piece(theory, dim_v, weight, words, products, source):
-    """The weight piece of the faced complex of a free algebra: terms
-    (x; w_1..w_n) with x in X_n and w_i in words(letters, l_i), the lengths
-    l_i summing to the weight, ordered by x and then by the words."""
-    if dim_v < 1 or weight < 1:
-        raise DegreeOutOfRange(
-            "free pieces need dim_v >= 1 and weight >= 1, got dim_v=%d, "
-            "weight=%d" % (dim_v, weight))
-    letters = ["x%d" % (i + 1) for i in range(dim_v)]
-    basis = [()] + [tuple(words(letters, l)) for l in range(1, weight + 1)]
-    index = _INDEX_SETS[theory]
-    terms = {}
-    for n in range(1, weight + 1):
-        combos = sorted(
-            (combo for comp in _compositions(weight, n)
-             for combo in itertools.product(*(basis[l] for l in comp))),
-            key=lambda c: tuple(w.sort_key() for w in c))
-        terms[n] = [(x, combo) for x in index.points(n) for combo in combos]
-    cx = FacedComplex(theory, terms, index, products,
-                      label="%s(free %s dim V=%d), weight %d"
-                            % (theory, source, dim_v, weight))
-    cx.weight = weight
-    return cx
+class _WordProducts(dict):
+    """One product of free words on word ids: (id a, id b) -> ((id c,
+    coefficient), ...), each entry computed from the word objects on first
+    use."""
+
+    def __init__(self, mul, words, ids):
+        super().__init__()
+        self._mul, self._words, self._ids = mul, words, ids
+
+    def __missing__(self, ab):
+        a, b = ab
+        pairs = self[ab] = tuple(
+            (self._ids[c], k) for c, k in self._mul(self._words[a],
+                                                      self._words[b]))
+        return pairs
+
+
+class FreePiece(FacedComplex):
+    """The weight-w piece of the faced complex of the free algebra on
+    dim_v generators (free dialgebra for CY, free dendriform algebra for
+    CDend): terms (x; w_1..w_n) with x in X_n and words w_i whose lengths
+    sum to w, ordered by x and then by the words.
+
+    The words of lengths 1..w are numbered once, in their sort order, and
+    passed to the kernel as its decode list, so terms are keyed by tuples of
+    word ids and sorting the id tuples sorts the terms.  Each product of
+    the free algebra becomes an int table (id a, id b) -> ((id c,
+    coefficient), ...) that fills on first use.
+
+    Ranks go through the multilinear piece.  A face merges two neighbouring
+    words by a product that concatenates their letters and never reorders
+    them, so the letter sequence of w_1..w_n, read left to right, is the
+    same on every term of d(x; w_1..w_n).  The piece is thus the direct sum,
+    over the dim_v^w letter sequences, of the subcomplexes spanned by the
+    terms with that sequence, and each of them is the dim_v = 1 piece with
+    its single letter renamed letter by letter.  Hence
+    rank d_n = dim_v^w * rank d_n(dim_v = 1); the dim_v = 1 piece is built
+    on the first `rank` call.  `terms`, `diff` and `matrix` still describe
+    the full piece.
+    """
+
+    def __init__(self, theory, dim_v, weight):
+        if dim_v < 1 or weight < 1:
+            raise DegreeOutOfRange(
+                "free pieces need dim_v >= 1 and weight >= 1, got dim_v=%d, "
+                "weight=%d" % (dim_v, weight))
+        words_of, muls, source = _FREE[theory]
+        letters = ["x%d" % (i + 1) for i in range(dim_v)]
+        # the sort key of a word starts with its length, so the ids of each
+        # length form a range
+        words, by_length = [], [()]
+        for l in range(1, weight + 1):
+            block = sorted(words_of(letters, l), key=lambda w: w.sort_key())
+            by_length.append(range(len(words), len(words) + len(block)))
+            words += block
+        index = _INDEX_SETS[theory]
+        terms = {}
+        for n in range(1, weight + 1):
+            combos = sorted(combo for comp in _compositions(weight, n)
+                            for combo in itertools.product(
+                                *(by_length[l] for l in comp)))
+            entries = [tuple(map(words.__getitem__, c)) for c in combos]
+            terms[n] = [(x, e) for x in index.points(n) for e in entries]
+        super().__init__(theory, terms, index, {}, words=words,
+                         label="%s(free %s dim V=%d), weight %d"
+                               % (theory, source, dim_v, weight))
+        for sym, mul in muls.items():
+            self._products[sym] = _WordProducts(
+                mul, words, self._word_ids).__getitem__
+        self.dim_v = dim_v
+        self.weight = weight
+        self._multilinear = None
+
+    def rank(self, n):
+        if self.dim_v == 1:
+            return super().rank(n)
+        if self._multilinear is None:
+            self._multilinear = FreePiece(self.theory, 1, self.weight)
+        return self.dim_v ** self.weight * self._multilinear.rank(n)
 
 
 def _pointed_words(letters, length):
@@ -473,29 +558,37 @@ def _dend_terms(letters, length):
             yield DendTerm(t, ltrs)
 
 
+def _dias_product(side):
+    return lambda a, b: ((freealg.dias_term(a, b, side), 1),)
+
+
+def _dend_product(op):
+    # free dendriform products have integer coefficients
+    return lambda a, b: (
+        (t, int(c)) for t, c in freealg.dend_mul(
+            Lin.term(a), Lin.term(b), op).data.items())
+
+
+# per theory: the words of a given length, the products by face symbol and
+# the name of the free algebra
+_FREE = {
+    "CY": (_pointed_words,
+           {side: _dias_product(side) for side in (LEFT, RIGHT)},
+           "dialgebra"),
+    "CDend": (_dend_terms,
+              {op: _dend_product(op) for op in _INDEX_SETS["CDend"].symbols},
+              "dendriform"),
+}
+
+
 def build_cy_free(dim_v, weight) -> ChainComplex:
     """Weight-homogeneous piece of the free-dialgebra complex."""
-    def merge(side):
-        return lambda ab: ((freealg.dias_term(*ab, side), 1),)
-
-    return _free_piece("CY", dim_v, weight, _pointed_words,
-                       {side: merge(side) for side in (LEFT, RIGHT)},
-                       "dialgebra")
+    return FreePiece("CY", dim_v, weight)
 
 
 def build_cdend_free(dim_v, weight) -> ChainComplex:
     """Weight-homogeneous piece of the free-dendriform complex."""
-    def product(op):
-        # free dendriform products have integer coefficients; each one is
-        # computed once per complex, through freealg.dend_mul
-        return functools.cache(lambda ab: tuple(
-            (t, int(c)) for t, c in freealg.dend_mul(
-                Lin.term(ab[0]), Lin.term(ab[1]), op).data.items()))
-
-    return _free_piece("CDend", dim_v, weight, _dend_terms,
-                       {op: product(op)
-                        for op in _INDEX_SETS["CDend"].symbols},
-                       "dendriform")
+    return FreePiece("CDend", dim_v, weight)
 
 
 # ---------------------------------------------------------------------------

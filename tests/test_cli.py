@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from dialab.cli import main
 from dialab.finalg import fixture
 
@@ -130,6 +132,20 @@ def test_empty_free_pieces_are_refused(capsys):
                                 "--json")
             assert code == 1
             assert json.loads(out)["error"] == "DegreeOutOfRange"
+
+
+@pytest.mark.parametrize("source", ["free", "file"])
+def test_negative_max_degree_is_refused(source, tmp_path, capsys):
+    if source == "free":
+        argv = ("--free", "--dimv", "1", "--weight", "3")
+    else:
+        path = tmp_path / "alg.json"
+        path.write_text(fixture("tensor_square").to_json(), encoding="utf-8")
+        argv = ("--file", str(path))
+    code, out = run_cli(capsys, "homology", *argv, "--theory", "CY",
+                        "--max-degree", "-2", "--json")
+    assert code == 1
+    assert json.loads(out)["error"] == "DegreeOutOfRange"
 
 
 def test_degree_guards_raise_degree_out_of_range(capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from dialab.errors import UnsupportedTheoryForSource
 from dialab.finalg import FiniteAlgebra, bar_units, fixture, leibnizification
+from dialab.freealg import DendTerm, PointedWord, dend_mul, dias_term
 from dialab.homology import (
     ad_homotopy,
     ad_operator,
@@ -15,6 +16,7 @@ from dialab.homology import (
     build_complex,
     build_cy_free,
     cdend_face,
+    cdend_face_index,
     cdend_split_diff,
     cdend_symbol,
     chain_map,
@@ -26,8 +28,10 @@ from dialab.homology import (
     homotopy_free_dialgebra,
     theta_coefficients,
 )
+from dialab.linalg import rank_of_columns
 from dialab.lincomb import Lin
 from dialab.trees import (
+    Tree,
     all_permutations,
     catalan,
     enumerate_trees,
@@ -174,6 +178,75 @@ def test_d_squared_check_catches_a_perturbed_rational_table():
         assert cx.scale > 1
         with pytest.raises(AssertionError, match="d\\^2 != 0"):
             cx.verify_d_squared()
+
+
+@pytest.mark.parametrize("name", ["tensor_square", "vector_dialgebra"])
+def test_integer_ranks_match_fraction_ranks(name):
+    # rank runs on the integer columns of D * d; the Fraction view of d_n
+    # must rank the same and hold the values of d itself
+    alg = _rescaled(fixture(name), [Fraction(2), Fraction(-1, 3),
+                                    Fraction(3, 2), Fraction(-4, 5)])
+    for theory in ("CY", "CS"):
+        cx = build_complex(theory, alg, 4)
+        assert cx.scale > 1
+        for n in range(2, 5):
+            mat = cx.matrix(n)
+            rows = {u: i for i, u in enumerate(cx.terms[n - 1])}
+            assert mat == [{rows[u]: c for u, c in cx.diff(n, t).data.items()}
+                           for t in cx.terms[n]]
+            assert all(type(c) is Fraction
+                       for col in mat for c in col.values())
+            assert cx.rank(n) == rank_of_columns(mat, nrows=cx.dim(n - 1))
+
+
+def _free_reference_diff(theory, term):
+    """d on one free-piece term, written out face by face from the products
+    of the free algebra, with Lin arithmetic on the word objects."""
+    x, words = term
+    out = Lin()
+    for i in range(1, len(words)):
+        a, b = words[i - 1], words[i]
+        if theory == "CY":
+            fx = face(x, i)
+            side = "left" if x.name[i - 1] > x.name[i] else "right"
+            merged = Lin.term(dias_term(a, b, side))
+        else:
+            fx = cdend_face_index(i, x)
+            op = cdend_symbol(i, x)
+            ops = ("prec", "succ") if op == "star" else (op,)
+            merged = Lin()
+            for o in ops:
+                merged = merged + dend_mul(Lin.term(a), Lin.term(b), o)
+        for m, c in merged.data.items():
+            out = out + Lin.term(
+                (fx, words[:i - 1] + (m,) + words[i + 1:]),
+                (-1) ** (i + 1) * c)
+    return out
+
+
+@pytest.mark.parametrize("theory", ["CY", "CDend"])
+def test_free_piece_terms_come_back_as_words(theory):
+    # the kernel runs on word ids; diff and diff_lin must hand back the
+    # terms of the free algebra, equal to the face-by-face reference
+    build = build_cy_free if theory == "CY" else build_cdend_free
+    word_type = PointedWord if theory == "CY" else DendTerm
+    index_type = Tree if theory == "CY" else int
+    for dim_v in (1, 2):
+        for weight in range(1, 5):
+            cx = build(dim_v, weight)
+            for n in range(1, weight + 1):
+                total, expected = Lin(), Lin()
+                for k, t in enumerate(cx.terms[n]):
+                    ref = _free_reference_diff(theory, t)
+                    assert cx.diff(n, t) == ref
+                    assert cx.diff_lin(n, Lin.term(t)) == ref
+                    total = total + Lin.term(t, k + 1)
+                    expected = expected + (k + 1) * ref
+                image = cx.diff_lin(n, total)
+                assert image == expected
+                for x, words in image.data:
+                    assert type(x) is index_type
+                    assert all(type(w) is word_type for w in words)
 
 
 def test_theory_source_mismatch():
@@ -411,6 +484,20 @@ def test_free_dialgebra_homology_vanishes():
             assert betti == expect
 
 
+@pytest.mark.parametrize("theory,dim_v,weights", [
+    ("CY", 2, range(1, 6)), ("CY", 3, range(1, 4)), ("CDend", 2, range(1, 5)),
+])
+def test_ranks_through_the_multilinear_piece(theory, dim_v, weights):
+    # rank scales the dim_v = 1 piece by dim_v^weight; the right-hand side
+    # ranks the full matrix of the piece
+    build = build_cy_free if theory == "CY" else build_cdend_free
+    for weight in weights:
+        cx = build(dim_v, weight)
+        for n in range(1, weight + 1):
+            assert cx.rank(n) == rank_of_columns(
+                cx.matrix(n), nrows=cx.dim(n - 1))
+
+
 def test_contracting_homotopy_identity_matrixwise():
     for dim_v in (1, 2):
         for weight in range(2, 5):
@@ -426,7 +513,6 @@ def test_contracting_homotopy_identity_matrixwise():
 
 def test_homotopy_case_values():
     # a cherry-ended tree with a bare pointed last letter contracts to zero
-    from dialab.freealg import PointedWord
     x = PointedWord(("x1",), 0)
     term = (parse_name("[2,1]"), (x, x))
     assert not homotopy_free_dialgebra(Lin.term(term))
