@@ -46,11 +46,12 @@ def cmd_trees(args):
     if args.count and args.n is None:
         raise UsageError("--count needs --n")
     if args.n is not None:
-        ts = trees.enumerate_trees(args.n)
         if args.count:
-            _emit(args, str(len(ts)), {"n": args.n, "count": len(ts)})
+            count = trees.catalan(args.n)
+            _emit(args, str(count), {"n": args.n, "count": count})
         else:
-            names = [trees.format_name(t) for t in ts]
+            names = [trees.format_name(t)
+                     for t in trees.enumerate_trees(args.n)]
             _emit(args, "\n".join(names), {"n": args.n, "trees": names})
         return
     if args.parse is not None:

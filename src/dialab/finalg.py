@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import AxiomFailure, TooLarge, UnknownFixture
 from .lincomb import Lin
-from .linalg import SubspaceBuilder, solve_affine
+from .linalg import Echelon, solve_affine
 from . import freealg
 from .trees import LEFT, RIGHT, enumerate_trees
 
@@ -355,8 +355,8 @@ def associativization(alg: FiniteAlgebra):
     """
     assert alg.kind == "dialgebra"
     k = alg.dim
-    ideal = SubspaceBuilder(k)
-    seeds = []
+    ideal = Echelon()
+    frontier = []
     for i in range(k):
         for j in range(k):
             vec = tuple(
@@ -364,9 +364,8 @@ def associativization(alg: FiniteAlgebra):
                 for a, b in zip(
                     alg.mul_basis("left", i, j), alg.mul_basis("right", i, j))
             )
-            if ideal.add(vec):
-                seeds.append(vec)
-    frontier = list(seeds)
+            if ideal.add(dict(enumerate(vec))):
+                frontier.append(vec)
     while frontier:
         new_frontier = []
         for v in frontier:
@@ -374,19 +373,21 @@ def associativization(alg: FiniteAlgebra):
                 e = alg.unit_vector(j)
                 for prod in ("left", "right"):
                     for cand in (alg.mul(prod, v, e), alg.mul(prod, e, v)):
-                        if any(cand) and ideal.add(cand):
+                        if ideal.add(dict(enumerate(cand))):
                             new_frontier.append(cand)
         frontier = new_frontier
 
-    pivots = set(ideal.pivots)
-    keep = [i for i in range(k) if i not in pivots]
+    rows, pivots = ideal.reduced()
+    pivot_set = set(pivots)
+    keep = [i for i in range(k) if i not in pivot_set]
 
     def project(vec):
         v = [Fraction(x) for x in vec]
-        for row, p in zip(ideal.rows, ideal.pivots):
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
+        for row, p in zip(rows, pivots):
+            f = v[p]
+            if f:
+                for j, c in row.items():
+                    v[j] -= f * c
         return tuple(v[i] for i in keep)
 
     basis = [alg.basis[i] for i in keep]

@@ -95,10 +95,6 @@ class ChainComplex:
     def __init__(self, theory, terms, diff=None, label=""):
         self.theory = theory
         self.terms = {n: tuple(ts) for n, ts in terms.items()}
-        self.index = {
-            n: {t: i for i, t in enumerate(ts)}
-            for n, ts in self.terms.items()
-        }
         self._diff = diff
         self.label = label
         self._columns_cache = {}
@@ -757,12 +753,12 @@ def contraction_by_elimination(cx: ChainComplex, n_top=None):
     Returns h as {n: {term: Lin over degree n+1 terms}} with
     d h + h d = id in degrees 2..n_top, built degree by degree: given
     h_{n-1}, the residual g = id - h_{n-1} d lies in the image of d_{n+1}
-    (this is exactness), and h_n is a preimage computed by exact
-    elimination.  Works at any weight, unlike the combinatorial five-case
-    operator whose validity boundary is documented above; the price is
-    that the values are basis-dependent.
+    (this is exactness), and h_n(term) is the preimage of g(term) whose
+    free coordinates are zero, read off a FactoredSolver built once per
+    degree on the cached sparse columns of d_{n+1}.  Works at any weight,
+    unlike the combinatorial five-case operator whose validity boundary is
+    documented above; the price is that the values are basis-dependent.
     """
-    from fractions import Fraction
     from .linalg import FactoredSolver
 
     n_top = n_top or cx.n_max
@@ -771,27 +767,15 @@ def contraction_by_elimination(cx: ChainComplex, n_top=None):
     for n in range(1, n_top + 1):
         cols = cx.terms.get(n + 1, ())
         rows = {t: i for i, t in enumerate(cx.terms[n])}
-        mat = [[Fraction(0)] * len(cols) for _ in rows]
-        for j, t in enumerate(cols):
-            for u, c in cx.diff(n + 1, t).data.items():
-                mat[rows[u]][j] = c
-        solver = FactoredSolver(mat) if cols else None
+        solver = FactoredSolver(cx.matrix(n + 1), len(rows))
         for term in cx.terms[n]:
             g = Lin.term(term)
             if n >= 2:
                 g = g - cx.diff(n, term).map_terms(h[n - 1].get)
-            rhs = [Fraction(0)] * len(rows)
-            for u, c in g.data.items():
-                rhs[rows[u]] = c
-            particular = solver.solve(rhs) if solver else None
-            if particular is None:
-                if any(rhs):
-                    raise AssertionError(
-                        "complex is not exact at degree %d" % n)
-                h[n][term] = Lin()
-                continue
-            h[n][term] = Lin(
-                {cols[j]: c for j, c in enumerate(particular) if c})
+            x = solver.solve({rows[u]: c for u, c in g.data.items()})
+            if x is None:
+                raise AssertionError("complex is not exact at degree %d" % n)
+            h[n][term] = Lin({cols[j]: c for j, c in x.items()})
     return h
 
 

@@ -1,9 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples of Fractions; sparse matrices are lists of {index:
-value} dictionaries.  Ranks are computed by fraction-free elimination on
-integer rows (denominators are cleared row-wise, which changes nothing
-about row spaces), eliminating along whichever dimension is smaller.
+One engine does all elimination: `Echelon` keeps the span of sparse rows
+{index: value} (int or Fraction values) as primitive integer rows keyed by
+their leading index.  Denominators are cleared row by row and every update
+is fraction-free, which changes nothing about the row space, so ranks and
+membership tests never touch a Fraction; `reduced()` back-substitutes once
+and gives the reduced row echelon form, which a row space determines
+uniquely.  Ranks, row spaces, kernels, affine solutions and the factored
+[A | I] solver are all read off it.  The dense helpers (rref, row spaces,
+nullspace, solve_affine) take and return dense Fraction rows for the small
+systems of halos, ideals and quadratic duals.
 """
 
 from __future__ import annotations
@@ -25,41 +31,79 @@ def _int_row(row):
     return {k: v // g for k, v in ints.items()} if g > 1 else ints
 
 
-def _reduce_content(row):
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
+def _combine(row, piv, k):
+    """The primitive part of b*row - a*piv, where a and b are the entries
+    of row and piv at k; it has no entry at k."""
+    a, b = row[k], piv[k]
+    g = gcd(a, b)
     if g > 1:
-        for k in row:
-            row[k] //= g
-    return row
+        a //= g
+        b //= g
+    new = {j: b * v for j, v in row.items()}
+    for j, v in piv.items():
+        w = new.get(j, 0) - a * v
+        if w:
+            new[j] = w
+        else:  # w == 0 needs an entry of row at j, since a and v are nonzero
+            del new[j]
+    g = gcd(*new.values())
+    return {j: v // g for j, v in new.items()} if g > 1 else new
 
 
-def rank_of_rows(rows):
-    """Rank of the span of sparse rational rows, exactly."""
-    pivots = {}  # leading index -> integer row
-    rank = 0
-    for raw in rows:
-        row = _int_row(raw)
+class Echelon:
+    """Span of sparse rational rows, kept in fraction-free echelon form."""
+
+    def __init__(self, rows=()):
+        self._pivots = {}  # leading index -> primitive integer row
+        for row in rows:
+            self.add(row)
+
+    def _reduce(self, row):
+        """The integer remainder of `row` modulo the pivot rows: {} when
+        the row lies in the span, else a row whose lead is no pivot."""
+        pivots = self._pivots
+        row = _int_row(row)
         while row:
             lead = min(row)
             piv = pivots.get(lead)
             if piv is None:
-                pivots[lead] = row
-                rank += 1
                 break
-            a, b = row[lead], piv[lead]
-            new = {}
-            for k, v in row.items():
-                new[k] = b * v
-            for k, v in piv.items():
-                w = new.get(k, 0) - a * v
-                if w:
-                    new[k] = w
-                elif k in new:
-                    del new[k]
-            row = _reduce_content(new)
-    return rank
+            row = _combine(row, piv, lead)
+        return row
+
+    def add(self, row):
+        """Insert a row; True when it enlarged the span."""
+        row = self._reduce(row)
+        if row:
+            self._pivots[min(row)] = row
+        return bool(row)
+
+    def contains(self, row):
+        return not self._reduce(row)
+
+    @property
+    def rank(self):
+        return len(self._pivots)
+
+    def reduced(self):
+        """(rows, pivots): the reduced row echelon form, as sparse Fraction
+        rows with leading entry 1, in ascending order of their pivots."""
+        pivots = sorted(self._pivots)
+        done = {}
+        for p in reversed(pivots):
+            row = self._pivots[p]
+            # a finished row has no entry at any other pivot, so clearing
+            # one pivot entry never brings back another
+            for k in [k for k in row if k in done]:
+                row = _combine(row, done[k], k)
+            done[p] = row
+        return [{k: Fraction(v, done[p][p]) for k, v in done[p].items()}
+                for p in pivots], pivots
+
+
+def rank_of_rows(rows):
+    """Rank of the span of sparse rational rows, exactly."""
+    return Echelon(rows).rank
 
 
 def rank_of_columns(cols, nrows=None):
@@ -72,48 +116,36 @@ def rank_of_columns(cols, nrows=None):
         nrows = 1 + max(k for c in cols for k in c)
     if len(cols) <= nrows:
         return rank_of_rows(cols)
+    return rank_of_rows(_transpose(cols, nrows))
+
+
+def _transpose(cols, nrows):
     rows = [{} for _ in range(nrows)]
     for j, col in enumerate(cols):
         for i, v in col.items():
             rows[i][j] = v
-    return rank_of_rows(rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------
-# dense reduced row echelon form (small systems: halos, ideals, annihilators)
+# dense views (small systems: halos, ideals, annihilators)
 # ---------------------------------------------------------------------------
+
+def _dense_reduced(rows):
+    return Echelon(dict(enumerate(r)) for r in rows).reduced()
+
 
 def rref(rows):
-    """Reduced row-echelon form of dense Fraction rows.
+    """Reduced row-echelon form of dense rational rows.
 
-    Returns (reduced nonzero rows, pivot column list).
+    Returns (reduced nonzero rows as Fraction lists, pivot column list).
     """
-    mat = [[Fraction(x) for x in r] for r in rows]
-    if not mat:
+    if not rows:
         return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return [row for row in mat[:r]], pivots
+    ncols = len(rows[0])
+    reduced, pivots = _dense_reduced(rows)
+    return [[row.get(j, Fraction(0)) for j in range(ncols)]
+            for row in reduced], pivots
 
 
 def row_space_basis(rows):
@@ -125,19 +157,25 @@ def same_row_space(rows_a, rows_b):
     return row_space_basis(rows_a) == row_space_basis(rows_b)
 
 
-def nullspace(rows, ncols):
-    """Basis of the right kernel of a dense rational matrix."""
-    reduced, pivots = rref(rows)
+def _kernel(reduced, pivots, ncols):
+    """Kernel basis of the first ncols columns of a reduced echelon form
+    with no pivot beyond them: one vector per free column."""
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
         for row, p in zip(reduced, pivots):
-            vec[p] = -row[f]
+            vec[p] = -row.get(f, Fraction(0))
         basis.append(tuple(vec))
     return basis
+
+
+def nullspace(rows, ncols):
+    """Basis of the right kernel of a dense rational matrix."""
+    return _kernel(*_dense_reduced(rows), ncols)
 
 
 def solve_affine(rows, rhs):
@@ -148,103 +186,57 @@ def solve_affine(rows, rhs):
     if not rows:
         return None
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug)
-    for row, p in zip(reduced, pivots):
-        if p == ncols:
-            return None  # 0 = 1: inconsistent
+    reduced, pivots = _dense_reduced(
+        list(r) + [b] for r, b in zip(rows, rhs))
+    if pivots and pivots[-1] == ncols:
+        return None  # 0 = 1: inconsistent
+    # without a pivot in the b column, the reduced rows restricted to A are
+    # the reduced echelon form of A; free coordinates are left at zero
     particular = [Fraction(0)] * ncols
     for row, p in zip(reduced, pivots):
-        particular[p] = row[ncols]
-    hom = nullspace([r[:ncols] for r in rows], ncols)
-    return tuple(particular), hom
+        particular[p] = row.get(ncols, Fraction(0))
+    return tuple(particular), _kernel(reduced, pivots, ncols)
 
 
 def in_row_space(rows, vec):
-    base = row_space_basis(rows)
-    probe = row_space_basis(base + [list(vec)])
-    return len(probe) == len(base)
+    return Echelon(dict(enumerate(r)) for r in rows).contains(
+        dict(enumerate(vec)))
 
 
 class FactoredSolver:
     """Reusable exact solver for A x = b with many right-hand sides.
 
-    Reduces the augmented system [A | I] once; each solve is then a row
-    transform plus back-substitution.
+    A is given by its sparse columns and its number of rows.  The
+    augmented rows [A | I] are reduced once; the identity block then holds
+    the row transform T, and a solve is the sparse product T b.  Pivots
+    inside the A-block give the coordinates of the solution whose free
+    coordinates are zero; pivots in the identity block mark the rows of
+    T b that must vanish for the system to be consistent.
     """
 
-    def __init__(self, rows):
-        self.n_rows = len(rows)
-        self.n_cols = len(rows[0]) if rows else 0
-        aug = [
-            [Fraction(x) for x in r]
-            + [Fraction(1 if i == j else 0) for j in range(self.n_rows)]
-            for i, r in enumerate(rows)
-        ]
-        reduced, pivots = rref(aug)
-        # pivots inside the A-block are true pivots; anything beyond marks
-        # a row exposing an inconsistency certificate
-        self.pivots = [p for p in pivots if p < self.n_cols]
-        self.reduced = reduced[:len(self.pivots)]
-        self.checks = reduced[len(self.pivots):]
+    def __init__(self, cols, n_rows):
+        self.n_cols = n_cols = len(cols)
+        rows = _transpose(cols, n_rows)
+        for i, row in enumerate(rows):
+            row[n_cols + i] = 1
+        reduced, pivots = Echelon(rows).reduced()
+        # the columns of T: right-hand index -> [(pivot, entry)]
+        self._transform = [[] for _ in range(n_rows)]
+        for row, p in zip(reduced, pivots):
+            for k, v in row.items():
+                if k >= n_cols:
+                    self._transform[k - n_cols].append((p, v))
 
     def solve(self, rhs):
-        """One solution of A x = rhs, or None when inconsistent."""
-        nonzero = [(self.n_cols + i, Fraction(x))
-                   for i, x in enumerate(rhs) if x]
-
-        def transformed(row):
-            return sum((row[k] * x for k, x in nonzero), Fraction(0))
-
-        for row in self.checks:
-            if transformed(row):
-                return None
-        # in reduced echelon form the free columns can be left at zero
-        x = [Fraction(0)] * self.n_cols
-        for row, p in zip(self.reduced, self.pivots):
-            x[p] = transformed(row)
-        return tuple(x)
-
-
-class SubspaceBuilder:
-    """Incrementally grown subspace of Q^n kept in reduced echelon form."""
-
-    def __init__(self, dim):
-        self.dim = dim
-        self.rows = []          # reduced rows
-        self.pivots = []        # pivot column of each row
-
-    def add(self, vec):
-        """Insert a vector; returns True when it enlarged the space."""
-        v = [Fraction(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        lead = next((c for c, x in enumerate(v) if x), None)
-        if lead is None:
-            return False
-        inv = 1 / v[lead]
-        v = [x * inv for x in v]
-        for i, (row, p) in enumerate(zip(self.rows, self.pivots)):
-            if row[lead]:
-                f = row[lead]
-                self.rows[i] = [a - f * b for a, b in zip(row, v)]
-        self.rows.append(v)
-        self.pivots.append(lead)
-        order = sorted(range(len(self.rows)), key=lambda i: self.pivots[i])
-        self.rows = [self.rows[i] for i in order]
-        self.pivots = [self.pivots[i] for i in order]
-        return True
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    def contains(self, vec):
-        v = [Fraction(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return all(x == 0 for x in v)
+        """The solution of A x = rhs with zero free coordinates, as a
+        sparse {column: Fraction} dict, or None when inconsistent.  `rhs`
+        is a sparse {row: value} dict."""
+        x = {}
+        for i, b in rhs.items():
+            if b:
+                for p, v in self._transform[i]:
+                    x[p] = x.get(p, 0) + v * b
+        n_cols = self.n_cols
+        if any(v for p, v in x.items() if p >= n_cols):
+            return None
+        return {p: v for p, v in x.items() if v}

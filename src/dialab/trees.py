@@ -155,6 +155,9 @@ def parse_name(text: str) -> Tree:
 # ---------------------------------------------------------------------------
 
 def catalan(n: int) -> int:
+    """Number of degree-n trees."""
+    if n < 0:
+        raise IndexOutOfRange("tree degree must be >= 0")
     return factorial(2 * n) // (factorial(n) * factorial(n + 1))
 
 

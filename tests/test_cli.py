@@ -21,6 +21,14 @@ def test_tree_count(capsys):
     assert code == 0 and out.strip() == "5"
 
 
+def test_tree_count_answers_without_enumerating(capsys):
+    code, out = run_cli(capsys, "trees", "--n", "40", "--count", "--json")
+    assert code == 0
+    assert json.loads(out) == {"n": 40, "count": 2622127042276492108820}
+    code, out = run_cli(capsys, "trees", "--n", "-1", "--count", "--json")
+    assert code == 1 and json.loads(out)["error"] == "IndexOutOfRange"
+
+
 def test_tree_enumeration(capsys):
     code, out = run_cli(capsys, "trees", "--n", "2", "--json")
     assert json.loads(out) == {"n": 2, "trees": ["[1,2]", "[2,1]"]}

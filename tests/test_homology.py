@@ -708,7 +708,8 @@ def test_elimination_contraction_beyond_the_case_operator():
     # the solver-built homotopy contracts every weight piece, including the
     # weight-5 configurations outside the five-case dispatch
     from dialab.homology import contraction_by_elimination
-    for builder, weight in ((build_cy_free, 5), (build_cdend_free, 3)):
+    for builder, weight in ((build_cy_free, 5), (build_cdend_free, 3),
+                            (build_cy_free, 6), (build_cdend_free, 5)):
         cx = builder(1, weight)
         h = contraction_by_elimination(cx)
         for n in range(2, weight + 1):

@@ -4,8 +4,8 @@ import random
 from fractions import Fraction
 
 from dialab.linalg import (
+    Echelon,
     FactoredSolver,
-    SubspaceBuilder,
     in_row_space,
     nullspace,
     rank_of_columns,
@@ -24,9 +24,44 @@ def random_matrix(rng, rows, cols, density=0.6):
     ]
 
 
+def reference_rref(mat):
+    """Dense Gauss-Jordan elimination over Fractions: (rows, pivots)."""
+    mat = [[Fraction(x) for x in r] for r in mat]
+    pivots = []
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if sel is None:
+            continue
+        mat[r], mat[sel] = mat[sel], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+    return mat[:len(pivots)], pivots
+
+
 def rank_oracle(mat):
-    reduced, pivots = rref(mat)
-    return len(pivots)
+    return len(reference_rref(mat)[1])
+
+
+def reference_solve(mat, rhs, cols):
+    """The solution of A x = rhs with zero free coordinates, or None."""
+    reduced, pivots = reference_rref(
+        [list(r) + [b] for r, b in zip(mat, rhs)])
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for row, p in zip(reduced, pivots):
+        x[p] = row[cols]
+    return tuple(x)
+
+
+def columns(mat, cols):
+    return [{i: r[j] for i, r in enumerate(mat) if r[j]}
+            for j in range(cols)]
 
 
 def test_rank_matches_dense_oracle():
@@ -83,25 +118,66 @@ def test_factored_solver_agrees_with_direct_solve():
         rows = rng.randrange(1, 7)
         cols = rng.randrange(1, 7)
         mat = random_matrix(rng, rows, cols)
-        solver = FactoredSolver(mat)
+        solver = FactoredSolver(columns(mat, cols), rows)
         for _ in range(4):
             rhs = [Fraction(rng.randrange(-3, 4)) for _ in range(rows)]
             direct = solve_affine(mat, rhs)
-            fast = solver.solve(rhs)
+            fast = solver.solve(dict(enumerate(rhs)))
             if direct is None:
                 assert fast is None
             else:
                 assert fast is not None
+                dense = tuple(fast.get(j, Fraction(0)) for j in range(cols))
+                assert dense == direct[0]
                 for i in range(rows):
-                    assert sum(mat[i][j] * fast[j]
+                    assert sum(mat[i][j] * dense[j]
                                for j in range(cols)) == rhs[i]
 
 
+def test_echelon_views_match_dense_reference():
+    rng = random.Random(29)
+    for _ in range(60):
+        rows = rng.randrange(1, 7)
+        cols = rng.randrange(1, 7)
+        mat = [[Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+                if rng.random() < 0.5 else Fraction(0)
+                for _ in range(cols)] for _ in range(rows)]
+        mat[rng.randrange(rows)] = [Fraction(0)] * cols
+        zero_col = rng.randrange(cols)
+        for r in mat:
+            r[zero_col] = Fraction(0)
+        reduced, pivots = reference_rref(mat)
+        assert rref(mat) == (reduced, pivots)
+        kernel = []
+        for f in (c for c in range(cols) if c not in pivots):
+            vec = [Fraction(0)] * cols
+            vec[f] = Fraction(1)
+            for row, p in zip(reduced, pivots):
+                vec[p] = -row[f]
+            kernel.append(tuple(vec))
+        assert nullspace(mat, cols) == kernel
+        solver = FactoredSolver(columns(mat, cols), rows)
+        for _ in range(3):
+            rhs = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
+                   for _ in range(rows)]
+            if rng.random() < 0.5:  # a consistent right-hand side
+                x = [Fraction(rng.randrange(-2, 3)) for _ in range(cols)]
+                rhs = [sum(a * b for a, b in zip(r, x)) for r in mat]
+            expect = reference_solve(mat, rhs, cols)
+            direct = solve_affine(mat, rhs)
+            fast = solver.solve(dict(enumerate(rhs)))
+            if expect is None:
+                assert direct is None and fast is None
+            else:
+                assert direct == (expect, kernel)
+                assert fast == {j: v for j, v in enumerate(expect) if v}
+
+
 def test_subspace_builder():
-    sb = SubspaceBuilder(3)
-    assert sb.add([1, 0, 1])
-    assert sb.add([0, 1, 0])
-    assert not sb.add([1, 1, 1])
+    sb = Echelon()
+    assert sb.add({0: 1, 2: 1})
+    assert sb.add({1: 1})
+    assert not sb.add({0: 1, 1: 1, 2: 1})
     assert sb.rank == 2
-    assert sb.contains([2, -3, 2])
-    assert not sb.contains([0, 0, 1])
+    assert sb.contains({0: 2, 1: -3, 2: 2})
+    assert not sb.contains({2: 1})
