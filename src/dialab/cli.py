@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import finalg, freealg, homology, operads, trees
-from .errors import DegreeOutOfRange, DialabError
+from .errors import DegreeOutOfRange, DialabError, MalformedInput
 from .lincomb import Lin
 
 
@@ -217,7 +217,12 @@ def cmd_koszul_dual(args):
         q = operads.preset_quadratic(args.preset)
     elif args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
-            q = operads.QuadraticData.from_json_dict(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise MalformedInput(
+                    "not a quadratic-data document: %s" % (exc,)) from exc
+        q = operads.QuadraticData.from_json_dict(doc)
     else:
         raise UsageError("pass --preset or --file")
     dual = operads.quadratic_dual(q)

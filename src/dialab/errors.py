@@ -65,6 +65,11 @@ class SlotOutOfRange(DialabError):
     """A composition slot index is outside 1..degree(outer)."""
 
 
+class MalformedInput(DialabError):
+    """An input file or environment setting is not in its documented
+    format."""
+
+
 class DegreeOutOfRange(DialabError):
     """A degree, weight, series order or generator count is outside the
     supported range."""

@@ -21,8 +21,8 @@ import json
 import os
 from fractions import Fraction
 
-from .errors import AxiomFailure, TooLarge, UnknownFixture
-from .lincomb import Lin
+from .errors import AxiomFailure, MalformedInput, TooLarge, UnknownFixture
+from .lincomb import Lin, accumulate
 from .linalg import Echelon, solve_affine
 from . import freealg
 from .trees import LEFT, RIGHT, enumerate_trees
@@ -39,7 +39,12 @@ DEFAULT_MAX_DIM = 64
 
 
 def max_dimension():
-    return int(os.environ.get("DIALAB_MAX_DIM", DEFAULT_MAX_DIM))
+    text = os.environ.get("DIALAB_MAX_DIM", DEFAULT_MAX_DIM)
+    try:
+        return int(text)
+    except ValueError:
+        raise MalformedInput(
+            "DIALAB_MAX_DIM must be an integer, got %r" % (text,)) from None
 
 
 def _frac(x):
@@ -145,13 +150,19 @@ class FiniteAlgebra:
 
     @classmethod
     def from_json(cls, text, check=True):
-        doc = json.loads(text)
-        tables = {
-            prod: [[[Fraction(str(c)) for c in vec] for vec in row]
-                   for row in tab]
-            for prod, tab in doc["tables"].items()
-        }
-        return cls(doc["kind"], doc["basis"], tables, check=check)
+        try:
+            doc = json.loads(text)
+            tables = {
+                prod: [[[Fraction(str(c)) for c in vec] for vec in row]
+                       for row in tab]
+                for prod, tab in doc["tables"].items()
+            }
+            kind, basis = doc["kind"], list(doc["basis"])
+        except (ValueError, KeyError, TypeError, AttributeError,
+                ZeroDivisionError) as exc:
+            raise MalformedInput("not an algebra document: %s: %s" % (
+                type(exc).__name__, exc)) from exc
+        return cls(kind, basis, tables, check=check)
 
 
 # ---------------------------------------------------------------------------
@@ -417,16 +428,24 @@ def as_dialgebra(alg: FiniteAlgebra, name="") -> FiniteAlgebra:
 # fixture catalog
 # ---------------------------------------------------------------------------
 
+def _table(dim, pairs_of):
+    """Dense structure constants on a basis of size `dim`: the vector of
+    basis pair (i, j) sums the sparse (index, coefficient) pairs of
+    `pairs_of(i, j)`."""
+
+    def dense(i, j):
+        vec = [0] * dim
+        for t, c in accumulate({}, pairs_of(i, j)).items():
+            vec[t] = c
+        return tuple(vec)
+
+    return [[dense(i, j) for j in range(dim)] for i in range(dim)]
+
+
 def _monoid_algebra_tables(elements, op):
     idx = {e: i for i, e in enumerate(elements)}
-    k = len(elements)
-    tab = [[None] * k for _ in range(k)]
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            vec = [Fraction(0)] * k
-            vec[idx[op(a, b)]] = Fraction(1)
-            tab[i][j] = tuple(vec)
-    return tab
+    return _table(len(elements), lambda i, j: (
+        (idx[op(elements[i], elements[j])], 1),))
 
 
 def cyclic_group(n):
@@ -502,28 +521,20 @@ def tensor_square(A: FiniteAlgebra) -> FiniteAlgebra:
     dim = len(pairs)
 
     def table(side):
-        tab = [[None] * dim for _ in range(dim)]
-        for s, (a, b) in enumerate(pairs):
-            for t, (a2, b2) in enumerate(pairs):
-                vec = [Fraction(0)] * dim
-                if side == "left":
-                    prod = A.mul(
-                        "mul", A.mul("mul", A.unit_vector(b),
-                                     A.unit_vector(a2)),
-                        A.unit_vector(b2))
-                    for c, coeff in enumerate(prod):
-                        if coeff:
-                            vec[index[(a, c)]] += coeff
-                else:
-                    prod = A.mul(
-                        "mul", A.mul("mul", A.unit_vector(a),
-                                     A.unit_vector(b)),
-                        A.unit_vector(a2))
-                    for c, coeff in enumerate(prod):
-                        if coeff:
-                            vec[index[(c, b2)]] += coeff
-                tab[s][t] = tuple(vec)
-        return tab
+        def pairs_of(s, t):
+            (a, b), (a2, b2) = pairs[s], pairs[t]
+            if side == "left":
+                prod = A.mul(
+                    "mul", A.mul("mul", A.unit_vector(b), A.unit_vector(a2)),
+                    A.unit_vector(b2))
+                return ((index[(a, c)], coeff)
+                        for c, coeff in enumerate(prod))
+            prod = A.mul(
+                "mul", A.mul("mul", A.unit_vector(a), A.unit_vector(b)),
+                A.unit_vector(a2))
+            return ((index[(c, b2)], coeff) for c, coeff in enumerate(prod))
+
+        return _table(dim, pairs_of)
 
     return FiniteAlgebra(
         "dialgebra",
@@ -580,15 +591,11 @@ def upper_triangular_2() -> FiniteAlgebra:
         return basis[["e11", "e12", "e22"].index("e%d%d" % (i + 1, q + 1))] \
             if j == p else None
 
-    k = 3
-    tab = [[None] * k for _ in range(k)]
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            vec = [Fraction(0)] * k
-            prod = mul(a, b)
-            if prod is not None:
-                vec[basis.index(prod)] = Fraction(1)
-            tab[i][j] = tuple(vec)
+    def pairs_of(i, j):
+        prod = mul(basis[i], basis[j])
+        return () if prod is None else ((basis.index(prod), 1),)
+
+    tab = _table(len(basis), pairs_of)
     return FiniteAlgebra(
         "associative", basis, {"mul": tab}, name="upper_triangular_2")
 
@@ -603,17 +610,14 @@ def matrix_dialgebra(n, D: FiniteAlgebra) -> FiniteAlgebra:
         raise TooLarge("matrix dialgebra dimension %d over cap" % dim)
 
     def table(prod):
-        tab = [[None] * dim for _ in range(dim)]
-        for s, (i, kk, a) in enumerate(cells):
-            for t, (k2, j, b) in enumerate(cells):
-                vec = [Fraction(0)] * dim
-                if kk == k2:
-                    entry = D.mul_basis(prod, a, b)
-                    for c, coeff in enumerate(entry):
-                        if coeff:
-                            vec[index[(i, j, c)]] += coeff
-                tab[s][t] = tuple(vec)
-        return tab
+        def pairs_of(s, t):
+            (i, kk, a), (k2, j, b) = cells[s], cells[t]
+            if kk != k2:
+                return ()
+            return ((index[(i, j, c)], coeff)
+                    for c, coeff in enumerate(D.mul_basis(prod, a, b)))
+
+        return _table(dim, pairs_of)
 
     return FiniteAlgebra(
         "dialgebra",
@@ -631,17 +635,13 @@ def vector_dialgebra(A: FiniteAlgebra, n) -> FiniteAlgebra:
     dim = len(cells)
 
     def table(side):
-        tab = [[None] * dim for _ in range(dim)]
-        for s, (i, a) in enumerate(cells):
-            for t, (j, b) in enumerate(cells):
-                vec = [Fraction(0)] * dim
-                prod = A.mul("mul", A.unit_vector(a), A.unit_vector(b))
-                slot = i if side == "left" else j
-                for c, coeff in enumerate(prod):
-                    if coeff:
-                        vec[index[(slot, c)]] += coeff
-                tab[s][t] = tuple(vec)
-        return tab
+        def pairs_of(s, t):
+            (i, a), (j, b) = cells[s], cells[t]
+            prod = A.mul("mul", A.unit_vector(a), A.unit_vector(b))
+            slot = i if side == "left" else j
+            return ((index[(slot, c)], coeff) for c, coeff in enumerate(prod))
+
+        return _table(dim, pairs_of)
 
     return FiniteAlgebra(
         "dialgebra",
@@ -657,17 +657,16 @@ def _letters(dim_v):
     return ["x%d" % (i + 1) for i in range(dim_v)]
 
 
-def _truncate_table(basis, index, product, maxdeg, degree):
-    k = len(basis)
-    tab = [[None] * k for _ in range(k)]
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            vec = [Fraction(0)] * k
-            if degree(a) + degree(b) <= maxdeg:
-                for term, c in product(a, b).data.items():
-                    vec[index[term]] += c
-            tab[i][j] = tuple(vec)
-    return tab
+def _truncate_table(basis, product, maxdeg, degree):
+    index = {b: i for i, b in enumerate(basis)}
+
+    def pairs_of(i, j):
+        a, b = basis[i], basis[j]
+        if degree(a) + degree(b) > maxdeg:
+            return ()
+        return ((index[t], c) for t, c in product(a, b).data.items())
+
+    return _table(len(basis), pairs_of)
 
 
 def truncated_free_dialgebra(dim_v, maxdeg) -> FiniteAlgebra:
@@ -678,11 +677,10 @@ def truncated_free_dialgebra(dim_v, maxdeg) -> FiniteAlgebra:
             for p in range(n):
                 basis.append(freealg.PointedWord(ltrs, p))
     basis.sort(key=lambda w: w.sort_key())
-    index = {b: i for i, b in enumerate(basis)}
     deg = lambda w: len(w)
     tables = {
         side: _truncate_table(
-            basis, index,
+            basis,
             lambda a, b, s=side: freealg.dias_mul(
                 Lin.term(a), Lin.term(b), LEFT if s == "left" else RIGHT),
             maxdeg, deg)
@@ -701,11 +699,10 @@ def truncated_free_dendriform(dim_v, maxdeg) -> FiniteAlgebra:
             for ltrs in itertools.product(letters, repeat=n):
                 basis.append(freealg.DendTerm(t, ltrs))
     basis.sort(key=lambda w: w.sort_key())
-    index = {b: i for i, b in enumerate(basis)}
     deg = lambda w: w.tree.degree
     tables = {
         op: _truncate_table(
-            basis, index,
+            basis,
             lambda a, b, o=op: freealg.dend_mul(
                 Lin.term(a), Lin.term(b), o),
             maxdeg, deg)
@@ -728,10 +725,9 @@ def _word_basis(dim_v, maxdeg):
 
 def truncated_free_zinbiel(dim_v, maxdeg) -> FiniteAlgebra:
     basis = _word_basis(dim_v, maxdeg)
-    index = {b: i for i, b in enumerate(basis)}
     tables = {
         "dot": _truncate_table(
-            basis, index,
+            basis,
             lambda a, b: freealg.zinb_mul(Lin.term(a), Lin.term(b), "dot"),
             maxdeg, len)
     }
@@ -742,10 +738,9 @@ def truncated_free_zinbiel(dim_v, maxdeg) -> FiniteAlgebra:
 
 def truncated_free_leibniz(dim_v, maxdeg) -> FiniteAlgebra:
     basis = _word_basis(dim_v, maxdeg)
-    index = {b: i for i, b in enumerate(basis)}
     tables = {
         "bracket": _truncate_table(
-            basis, index,
+            basis,
             lambda a, b: freealg.leib_bracket_free(Lin.term(a), Lin.term(b)),
             maxdeg, len)
     }

@@ -10,7 +10,8 @@ Carriers and their bases:
 * free Zinbiel     -- plain words with the half-shuffle product.
 * free Leibniz     -- plain words with the left-iterated bracket.
 
-All products are bilinear over Lin combinations with Fraction coefficients.
+All products are bilinear over Lin combinations with exact int or Fraction
+coefficients.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import IndexOutOfRange, UndefinedOnUnit
-from .lincomb import Lin, bilinear
+from .lincomb import Lin, accumulate, bilinear
 from .trees import (
     LEAF,
     LEFT,
@@ -28,6 +29,7 @@ from .trees import (
     Tree,
     format_name,
     graft,
+    mirror,
     parse_name,
     perm_to_tree,
     tree_fiber,
@@ -247,16 +249,11 @@ def leibniz_to_dialgebra(word: Word) -> Lin:
     # prepends k with a sign flip.
     acc = {(0,): 1}
     for k in range(1, n):
-        nxt = {}
-        for positions, sign in acc.items():
-            nxt[positions + (k,)] = nxt.get(positions + (k,), 0) + sign
-            nxt[(k,) + positions] = nxt.get((k,) + positions, 0) - sign
-        acc = nxt
-    out = Lin()
-    for positions, sign in acc.items():
-        ltrs = tuple(letters[p] for p in positions)
-        out = out + sign * Lin.term(PointedWord(ltrs, positions.index(0)))
-    return out
+        appended = accumulate({}, ((p + (k,), c) for p, c in acc.items()))
+        acc = accumulate(appended, (((k,) + p, c) for p, c in acc.items()), -1)
+    return Lin((PointedWord(tuple(letters[p] for p in positions),
+                            positions.index(0)), sign)
+               for positions, sign in acc.items())
 
 
 def gamma_tensor(word: Word) -> Lin:
@@ -303,11 +300,8 @@ tree_succ = bilinear(_tree_succ)
 tree_star = bilinear(_tree_star)
 
 
-def tree_involution(y: Tree) -> Tree:
-    """Name reversal [i1..in] -> [in..i1]; an algebra involution for star."""
-    if y.is_leaf:
-        return y
-    return Tree(tree_involution(y.right), tree_involution(y.left))
+# name reversal [i1..in] -> [in..i1]; an algebra involution for star
+tree_involution = mirror
 
 
 def _dend_term_mul(a: DendTerm, b: DendTerm, op) -> Lin:
@@ -378,10 +372,7 @@ def _perm_shuffle_star(s: Permutation, t: Permutation) -> Lin:
     """sum over (n,m)-shuffles applied to the juxtaposition s x t."""
     n, m = s.n, t.n
     juxt = Permutation(list(s.values) + [n + v for v in t.values])
-    out = Lin()
-    for sh in shuffles(n, m):
-        out = out + Lin.term(sh.compose(juxt))
-    return out
+    return Lin((sh.compose(juxt), 1) for sh in shuffles(n, m))
 
 
 perm_shuffle_star = bilinear(_perm_shuffle_star)
@@ -399,17 +390,16 @@ def perms_to_trees(x: Lin, coding: str = "depth") -> Lin:
 def _word_shuffle(u, v):
     """All shuffles of two letter tuples, as a Lin of Words (multiplicities
     add when letters repeat)."""
-    out = Lin()
     p, q = len(u), len(v)
-    for spots in itertools.combinations(range(p + q), p):
-        merged = [None] * (p + q)
+
+    def merged(spots):
         ui = iter(u)
         vi = iter(v)
-        spotset = set(spots)
-        for i in range(p + q):
-            merged[i] = next(ui) if i in spotset else next(vi)
-        out = out + Lin.term(Word(merged))
-    return out
+        return Word(next(ui) if i in spots else next(vi)
+                    for i in range(p + q))
+
+    return Lin((merged(set(spots)), 1)
+               for spots in itertools.combinations(range(p + q), p))
 
 
 def _zinb_dot(a: Word, b: Word) -> Lin:
@@ -483,10 +473,8 @@ def dendriform_to_zinbiel(x: Lin) -> Lin:
     dendriform algebra."""
 
     def on_term(t: DendTerm):
-        out = Lin()
-        for s in tree_fiber(t.tree, "height"):
-            out = out + Lin.term(Word(apply_perm_to_tuple(s, t.word)))
-        return out
+        return Lin((Word(apply_perm_to_tuple(s, t.word)), 1)
+                   for s in tree_fiber(t.tree, "height"))
 
     return x.map_terms(on_term)
 
@@ -571,9 +559,9 @@ def parse_dend_term(text) -> DendTerm:
 def parse_lincomb(text, parse_term) -> Lin:
     from fractions import Fraction
 
-    out = Lin()
-    for sign, chunk in _split_terms(text):
+    def pair(sign, chunk):
         coeff, body = _coeff_and_body(chunk)
-        c = Fraction(sign) if coeff is None else sign * Fraction(coeff)
-        out = out + c * Lin.term(parse_term(body))
-    return out
+        return (parse_term(body),
+                sign if coeff is None else sign * Fraction(coeff))
+
+    return Lin(pair(*chunk) for chunk in _split_terms(text))

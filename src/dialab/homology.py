@@ -560,9 +560,8 @@ def _dias_product(side):
 
 def _dend_product(op):
     # free dendriform products have integer coefficients
-    return lambda a, b: (
-        (t, int(c)) for t, c in freealg.dend_mul(
-            Lin.term(a), Lin.term(b), op).data.items())
+    return lambda a, b: freealg.dend_mul(
+        Lin.term(a), Lin.term(b), op).data.items()
 
 
 # per theory: the words of a given length, the products by face symbol and
@@ -786,11 +785,8 @@ def contraction_by_elimination(cx: ChainComplex, n_top=None):
 def epsilon_map(n, entries) -> Lin:
     """Antisymmetrization CL_n -> CS_n:
     sum over sigma of sgn(sigma) (sigma ; sigma^{-1}-permuted entries)."""
-    out = Lin()
-    for s in all_permutations(n):
-        permuted = apply_perm_to_tuple(s.inverse(), entries)
-        out = out + Lin.term((s, permuted), s.sign())
-    return out
+    return Lin(((s, apply_perm_to_tuple(s.inverse(), entries)), s.sign())
+               for s in all_permutations(n))
 
 
 def psi_chain_map(term) -> Lin:
@@ -829,11 +825,8 @@ def theta_coefficients(n, r):
 def theta_map(term) -> Lin:
     """CDend_n -> CZinb_n on one finite-source term (r, entries)."""
     r, entries = term
-    n = len(entries)
-    out = Lin()
-    for s, c in theta_coefficients(n, r):
-        out = out + Lin.term(apply_perm_to_tuple(s, entries), c)
-    return out
+    return Lin((apply_perm_to_tuple(s, entries), c)
+               for s, c in theta_coefficients(len(entries), r))
 
 
 def chain_map(kind, term_or_lin):
@@ -856,31 +849,21 @@ def chain_map(kind, term_or_lin):
 def ad_operator(alg, y_vec, term) -> Lin:
     """ad(y) on a CS term: sum over slots of x_i -| y - y |- x_i."""
     s, entries = term
-    out = Lin()
-    for i, e in enumerate(entries):
+
+    def ad(e):
         x = alg.unit_vector(e)
-        vec = tuple(
-            a - b
-            for a, b in zip(alg.mul("left", x, y_vec),
-                            alg.mul("right", y_vec, x)))
-        for b, c in enumerate(vec):
-            if c:
-                out = out + Lin.term(
-                    (s, entries[:i] + (b,) + entries[i + 1:]), c)
-    return out
+        return zip(alg.mul("left", x, y_vec), alg.mul("right", y_vec, x))
+
+    return Lin(((s, entries[:i] + (b,) + entries[i + 1:]), xy - yx)
+               for i, e in enumerate(entries)
+               for b, (xy, yx) in enumerate(ad(e)))
 
 
 def ad_homotopy(alg, y_vec, term) -> Lin:
     """h(y) on a CS term: insert y in every slot with alternating signs and
     the matching degeneracy of the level tree."""
     s, entries = term
-    n = len(entries)
-    out = Lin()
-    for i in range(0, n + 1):
-        ds = perm_degeneracy(s, i)
-        sign = (-1) ** i
-        for b, c in enumerate(y_vec):
-            if c:
-                out = out + Lin.term(
-                    (ds, entries[:i] + (b,) + entries[i:]), sign * c)
-    return out
+    slots = [(i, perm_degeneracy(s, i), (-1) ** i)
+             for i in range(len(entries) + 1)]
+    return Lin(((ds, entries[:i] + (b,) + entries[i:]), sign * c)
+               for i, ds, sign in slots for b, c in enumerate(y_vec))

@@ -17,6 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .lincomb import accumulate
+
 
 def _int_row(row):
     """Clear denominators and divide by the content; {} for a zero row."""
@@ -39,13 +41,7 @@ def _combine(row, piv, k):
     if g > 1:
         a //= g
         b //= g
-    new = {j: b * v for j, v in row.items()}
-    for j, v in piv.items():
-        w = new.get(j, 0) - a * v
-        if w:
-            new[j] = w
-        else:  # w == 0 needs an entry of row at j, since a and v are nonzero
-            del new[j]
+    new = accumulate({j: b * v for j, v in row.items()}, piv.items(), -a)
     g = gcd(*new.values())
     return {j: v // g for j, v in new.items()} if g > 1 else new
 
@@ -234,9 +230,8 @@ class FactoredSolver:
         x = {}
         for i, b in rhs.items():
             if b:
-                for p, v in self._transform[i]:
-                    x[p] = x.get(p, 0) + v * b
+                accumulate(x, self._transform[i], b)
         n_cols = self.n_cols
-        if any(v for p, v in x.items() if p >= n_cols):
+        if any(p >= n_cols for p in x):
             return None
-        return {p: v for p, v in x.items() if v}
+        return x

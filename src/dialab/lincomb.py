@@ -1,10 +1,16 @@
 """Formal linear combinations with exact rational coefficients.
 
-A Lin is a finite map {basis term -> nonzero Fraction}.  Basis terms only
-need to be hashable and mutually orderable through their `sort_key`; every
-algebra in the library (pointed words, tree terms, plain words, chains)
-stores its elements this way, so addition, scaling and linear extension of
-basis-level maps are written once here.
+A Lin is a finite map {basis term -> nonzero coefficient}.  A coefficient
+is an exact `int` or `Fraction` and stays the type it was computed as:
+integer arithmetic never passes through `Fraction`, and since
+`2 == Fraction(2)` with equal hashes, equality and hashing of Lins do not
+depend on which of the two a coefficient is.  A `str` is parsed to a
+`Fraction`; a float is never accepted.  Basis terms only need to be
+hashable and mutually orderable through their `sort_key`; every algebra
+in the library (pointed words, tree terms, plain words, chains) stores its
+elements this way, so addition, scaling and linear extension of
+basis-level maps are written once here, and `accumulate` is the one loop
+that sums coefficients into a sparse dict.
 """
 
 from __future__ import annotations
@@ -13,10 +19,8 @@ from fractions import Fraction
 
 
 def _coeff(c):
-    if isinstance(c, Fraction):
+    if isinstance(c, (int, Fraction)):
         return c
-    if isinstance(c, int):
-        return Fraction(c)
     if isinstance(c, str):
         return Fraction(c)
     raise TypeError("coefficient must be int, str or Fraction, got %r" % (c,))
@@ -44,29 +48,22 @@ def _key(term):
 class Lin:
     """Finite formal sum of basis terms over the rationals.
 
-    Zero coefficients are never stored, so equality of Lin objects is
-    equality of the represented vectors.
+    `data` is a {term: int | Fraction} dict; `Lin(pairs)` sums the
+    coefficients of repeated terms.  Zero coefficients are never stored,
+    so equality of Lin objects is equality of the represented vectors.
     """
 
     __slots__ = ("data",)
 
     def __init__(self, data=None):
-        d = {}
-        if data:
-            for term, c in (data.items() if isinstance(data, dict) else data):
-                c = _coeff(c)
-                if c:
-                    c0 = d.get(term)
-                    c = c if c0 is None else c0 + c
-                    if c:
-                        d[term] = c
-                    elif term in d:
-                        del d[term]
-        self.data = d
+        if isinstance(data, dict):
+            data = data.items()
+        self.data = accumulate({}, ((t, _coeff(c)) for t, c in data or ()))
 
     @classmethod
     def term(cls, term, coeff=1):
-        return cls({term: coeff})
+        coeff = _coeff(coeff)
+        return cls.wrap({term: coeff} if coeff else {})
 
     @classmethod
     def zero(cls):
@@ -95,7 +92,7 @@ class Lin:
         return Lin.wrap(accumulate(dict(self.data), other.data.items()))
 
     def __sub__(self, other):
-        return self + (-1) * other
+        return Lin.wrap(accumulate(dict(self.data), other.data.items(), -1))
 
     def __neg__(self):
         return (-1) * self
@@ -123,13 +120,7 @@ class Lin:
         """Linear extension of a basis-level map `term -> Lin | term | None`."""
         acc = {}
         for t, c in self.data.items():
-            img = fn(t)
-            if img is None:
-                continue
-            if isinstance(img, Lin):
-                accumulate(acc, img.data.items(), c)
-            else:
-                accumulate(acc, ((img, c),))
+            accumulate(acc, _image(fn(t)), c)
         return Lin.wrap(acc)
 
     def support(self):
@@ -153,6 +144,16 @@ class Lin:
         return " ".join(parts)
 
 
+def _image(img):
+    """The (term, coefficient) pairs of a basis-level image
+    `Lin | term | None`."""
+    if img is None:
+        return ()
+    if isinstance(img, Lin):
+        return img.data.items()
+    return ((img, 1),)
+
+
 def bilinear(fn):
     """Lift a basis-level product `(s, t) -> Lin | term | None` to Lin x Lin."""
 
@@ -160,13 +161,7 @@ def bilinear(fn):
         acc = {}
         for s, cs in a.data.items():
             for t, ct in b.data.items():
-                img = fn(s, t, *args, **kwargs)
-                if img is None:
-                    continue
-                if isinstance(img, Lin):
-                    accumulate(acc, img.data.items(), cs * ct)
-                else:
-                    accumulate(acc, ((img, cs * ct),))
+                accumulate(acc, _image(fn(s, t, *args, **kwargs)), cs * ct)
         return Lin.wrap(acc)
 
     return lifted

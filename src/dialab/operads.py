@@ -14,11 +14,15 @@ block) and the dual data is the annihilator of the relation span.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import factorial
 
-from .errors import DegreeOutOfRange, SlotOutOfRange, UnknownPreset
+from .errors import (
+    DegreeOutOfRange,
+    MalformedInput,
+    SlotOutOfRange,
+    UnknownPreset,
+)
 from .freealg import eval_tree_monomial
 from .lincomb import Lin
 from .linalg import nullspace, row_space_basis, same_row_space
@@ -85,10 +89,14 @@ class QuadraticData:
 
     @classmethod
     def from_json_dict(cls, doc):
-        return cls(
-            doc["generators"],
-            [[Fraction(str(c)) for c in r] for r in doc["relations"]],
-        )
+        try:
+            generators = list(doc["generators"])
+            relations = [[Fraction(str(c)) for c in r]
+                         for r in doc["relations"]]
+        except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+            raise MalformedInput("not a quadratic-data document: %s: %s" % (
+                type(exc).__name__, exc)) from exc
+        return cls(generators, relations)
 
     def __repr__(self):
         return "QuadraticData(%d generators, %d relations)" % (
@@ -254,16 +262,15 @@ def poincare_check(order=10):
 # ---------------------------------------------------------------------------
 
 def multilinear_dim_dias(n) -> int:
-    """Count pointed words on n distinct letters (each used once)."""
-    count = 0
-    for _perm in itertools.permutations(range(n)):
-        count += n  # one pointer position per letter
-    return count
+    """Count pointed words on n distinct letters (each used once): n!
+    orderings times n pointer positions."""
+    return n * factorial(n)
 
 
 def multilinear_dim_dend(n) -> int:
-    """Count (tree, permutation word) pairs."""
-    return len(enumerate_trees(n)) * factorial(n)
+    """Count (tree, permutation word) pairs: Catalan(n) trees times n!
+    orderings."""
+    return catalan(n) * factorial(n)
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +297,9 @@ def dend_compose(outer: Tree, slot: int, inner: Tree) -> Lin:
     value = eval_tree_monomial(outer, args)
     expected_word = tuple(
         letters_out[:slot - 1] + letters_in + letters_out[slot:])
-    out = Lin()
-    for t, c in value.data.items():
-        assert t.word == expected_word, "composition scrambled the letters"
-        out = out + Lin.term(t.tree, c)
-    return out
+    assert all(t.word == expected_word for t in value.data), \
+        "composition scrambled the letters"
+    return Lin((t.tree, c) for t, c in value.data.items())
 
 
 def nested_candidates(outer: Tree, slot: int, inner: Tree, mirrored=False):

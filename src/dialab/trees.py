@@ -217,9 +217,10 @@ def bifurcate(y: Tree, i: int) -> Tree:
 def insert_parallel_leaf(y: Tree, j: int) -> Tree:
     """Add a new leaf immediately left of leaf j, parallel to it (1 <= j <= n).
 
-    The new leaf copies the orientation of leaf j, so deleting leaf j-?? of
-    the result restores y; this is the companion of `bifurcate` used by the
-    contracting homotopy of the free-dialgebra complex.
+    The new leaf copies the orientation of leaf j and becomes leaf j of the
+    result, so deleting leaf j of the result restores y; this is the
+    companion of `bifurcate` used by the contracting homotopy of the
+    free-dialgebra complex.
     """
     n = y.degree
     if not 1 <= j <= n:

@@ -156,6 +156,36 @@ def test_negative_max_degree_is_refused(source, tmp_path, capsys):
     assert json.loads(out)["error"] == "DegreeOutOfRange"
 
 
+_MALFORMED_ALGEBRAS = {
+    "not-json": "not json",
+    "no-tables": '{"kind": "dialgebra", "basis": ["1"]}',
+    "cell-x": json.dumps({"kind": "dialgebra", "basis": ["1"],
+                          "tables": {"left": [[["x"]]], "right": [[[1]]]}}),
+}
+
+
+@pytest.mark.parametrize("command, text, max_dim", [
+    pytest.param(command, text, None, id="%s-%s" % (command, name))
+    for command in ("homology", "halo", "axioms")
+    for name, text in _MALFORMED_ALGEBRAS.items()
+] + [
+    pytest.param("koszul-dual", "not json", None, id="koszul-dual-not-json"),
+    pytest.param("koszul-dual", '{"generators": ["m"]}', None,
+                 id="koszul-dual-no-relations"),
+    pytest.param("homology", fixture("field").to_json(), "abc",
+                 id="homology-max-dim-abc"),
+])
+def test_malformed_input_is_a_domain_error(command, text, max_dim, tmp_path,
+                                           monkeypatch, capsys):
+    if max_dim is not None:
+        monkeypatch.setenv("DIALAB_MAX_DIM", max_dim)
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    code, out = run_cli(capsys, command, "--file", str(path), "--json")
+    assert code == 1
+    assert json.loads(out)["error"] == "MalformedInput"
+
+
 def test_degree_guards_raise_degree_out_of_range(capsys):
     for argv in (("poincare", "--degree", "-3", "--json"),
                  ("sh-relations", "--n", "0", "--json"),

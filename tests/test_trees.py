@@ -27,6 +27,7 @@ from dialab.trees import (
     face,
     format_name,
     graft,
+    insert_parallel_leaf,
     level_tree,
     mirror,
     nested_subtrees,
@@ -177,6 +178,20 @@ def test_almost_simplicial_identities_on_trees():
     # the documented failure
     assert format_name(bifurcate(bifurcate(LEAF, 0), 0)) == "[1,2]"
     assert format_name(bifurcate(bifurcate(LEAF, 0), 1)) == "[2,1]"
+
+
+def test_deleting_the_parallel_leaf_restores_the_tree():
+    for n in range(1, 7):
+        for t in enumerate_trees(n):
+            for j in range(1, n + 1):
+                grown = insert_parallel_leaf(t, j)
+                assert grown.degree == n + 1
+                assert face(grown, j) == t
+                if j < n:
+                    # the new leaf j points the way leaf j of t did
+                    assert product_symbol(grown, j) == product_symbol(t, j)
+    with pytest.raises(IndexOutOfRange):
+        insert_parallel_leaf(CHERRY, 0)
 
 
 def test_product_symbol_table():
