@@ -54,7 +54,9 @@ class UnsupportedTheoryForSource(DialabError):
 
 
 class IncompatibleAlgebras(DialabError):
-    """A chain map was requested between complexes over unrelated algebras."""
+    """An algebra is of the wrong kind for the requested operation: a chain
+    map between complexes over unrelated algebras, or a construction given
+    an algebra of another kind than it is defined on."""
 
 
 class CaseDispatchFailure(DialabError):

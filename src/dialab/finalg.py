@@ -21,7 +21,13 @@ import json
 import os
 from fractions import Fraction
 
-from .errors import AxiomFailure, MalformedInput, TooLarge, UnknownFixture
+from .errors import (
+    AxiomFailure,
+    IncompatibleAlgebras,
+    MalformedInput,
+    TooLarge,
+    UnknownFixture,
+)
 from .lincomb import Lin, accumulate
 from .linalg import Echelon, solve_affine
 from . import freealg
@@ -45,6 +51,12 @@ def max_dimension():
     except ValueError:
         raise MalformedInput(
             "DIALAB_MAX_DIM must be an integer, got %r" % (text,)) from None
+
+
+def _require_kind(alg, kind, op):
+    if alg.kind != kind:
+        raise IncompatibleAlgebras(
+            "%s needs a %s algebra, got %s" % (op, kind, alg.kind))
 
 
 def _frac(x):
@@ -157,7 +169,10 @@ class FiniteAlgebra:
                        for row in tab]
                 for prod, tab in doc["tables"].items()
             }
-            kind, basis = doc["kind"], list(doc["basis"])
+            kind, basis = doc["kind"], doc["basis"]
+            if not isinstance(basis, list):
+                raise TypeError("basis is a %s, not a list"
+                                % type(basis).__name__)
         except (ValueError, KeyError, TypeError, AttributeError,
                 ZeroDivisionError) as exc:
             raise MalformedInput("not an algebra document: %s: %s" % (
@@ -302,7 +317,7 @@ class Halo:
 
 def bar_units(alg: FiniteAlgebra) -> Halo:
     """Solve x -| e = x = e |- x for all basis x, exactly."""
-    assert alg.kind == "dialgebra"
+    _require_kind(alg, "dialgebra", "bar_units")
     k = alg.dim
     rows, rhs = [], []
     for i in range(k):
@@ -323,7 +338,7 @@ def bar_units(alg: FiniteAlgebra) -> Halo:
 
 def leibnizification(alg: FiniteAlgebra) -> FiniteAlgebra:
     """Bracket table [x, y] = x -| y - y |- x."""
-    assert alg.kind == "dialgebra"
+    _require_kind(alg, "dialgebra", "leibnizification")
     k = alg.dim
     tab = [
         [
@@ -342,7 +357,7 @@ def leibnizification(alg: FiniteAlgebra) -> FiniteAlgebra:
 
 def opposite(alg: FiniteAlgebra) -> FiniteAlgebra:
     """x -|' y = y |- x,  x |-' y = y -| x."""
-    assert alg.kind == "dialgebra"
+    _require_kind(alg, "dialgebra", "opposite")
     k = alg.dim
     return FiniteAlgebra(
         "dialgebra",
@@ -364,7 +379,7 @@ def associativization(alg: FiniteAlgebra):
     vector of the source onto quotient coordinates.  The ideal is saturated
     by alternating left/right multiplications until the rank stabilizes.
     """
-    assert alg.kind == "dialgebra"
+    _require_kind(alg, "dialgebra", "associativization")
     k = alg.dim
     ideal = Echelon()
     frontier = []
@@ -416,7 +431,7 @@ def associativization(alg: FiniteAlgebra):
 
 def as_dialgebra(alg: FiniteAlgebra, name="") -> FiniteAlgebra:
     """View an associative algebra as a dialgebra with equal products."""
-    assert alg.kind == "associative"
+    _require_kind(alg, "associative", "as_dialgebra")
     k = alg.dim
     tab = [[alg.mul_basis("mul", i, j) for j in range(k)] for i in range(k)]
     return FiniteAlgebra(
@@ -514,7 +529,7 @@ def action_dimonoid(n) -> FiniteAlgebra:
 
 def tensor_square(A: FiniteAlgebra) -> FiniteAlgebra:
     """A (x) A with a(x)b -| a'(x)b' = a (x) b a' b' and the mirror rule."""
-    assert A.kind == "associative"
+    _require_kind(A, "associative", "tensor_square")
     k = A.dim
     pairs = list(itertools.product(range(k), range(k)))
     index = {p: t for t, p in enumerate(pairs)}
@@ -546,7 +561,7 @@ def tensor_square(A: FiniteAlgebra) -> FiniteAlgebra:
 
 def differential_dialgebra(A: FiniteAlgebra, d_matrix) -> FiniteAlgebra:
     """x -| y = x dy, x |- y = dx y for a differential (d^2=0, Leibniz) on A."""
-    assert A.kind == "associative"
+    _require_kind(A, "associative", "differential_dialgebra")
     k = A.dim
     d = [tuple(_frac(c) for c in row) for row in d_matrix]
 
@@ -602,7 +617,7 @@ def upper_triangular_2() -> FiniteAlgebra:
 
 def matrix_dialgebra(n, D: FiniteAlgebra) -> FiniteAlgebra:
     """n x n matrices over a dialgebra, entrywise basis (i, j, d)."""
-    assert D.kind == "dialgebra"
+    _require_kind(D, "dialgebra", "matrix_dialgebra")
     cells = list(itertools.product(range(n), range(n), range(D.dim)))
     index = {c: t for t, c in enumerate(cells)}
     dim = len(cells)
@@ -629,7 +644,7 @@ def matrix_dialgebra(n, D: FiniteAlgebra) -> FiniteAlgebra:
 
 def vector_dialgebra(A: FiniteAlgebra, n) -> FiniteAlgebra:
     """A^n with (x -| y)_i = x_i (sum_j y_j), (x |- y)_i = (sum_j x_j) y_i."""
-    assert A.kind == "associative"
+    _require_kind(A, "associative", "vector_dialgebra")
     cells = list(itertools.product(range(n), range(A.dim)))
     index = {c: t for t, c in enumerate(cells)}
     dim = len(cells)

@@ -8,15 +8,17 @@ Five theories are supported.  In homological degree n the chains are
     CL     g^(x)n                  g a Leibniz algebra
     CZinb  R^(x)n                  R a Zinbiel algebra
 
-CY, CS, CDend and CZinb (whose index set is a single point) are faced
-complexes  K[X_n] (x) A^(x)n  with  d = sum_i (-1)^(i+1) face_i (x) mu_i:
-face i deletes leaf i of the index and merges the tensor factors i, i+1
-through the product that the index assigns to that face.  All four are
-instances of one kernel, FacedComplex, whose source is either FiniteAlgebra
-structure constants or a weight-homogeneous piece of a free algebra
+All five are one construction, ChainComplex:  K[X_n] (x) A^(x)n  with
+d = sum over face pairs (i, j), i < j, of (-1)^j face_(i,j) (x) mu, where
+face (i, j) puts mu(a_i, a_j) in slot i and deletes slot j, through the
+product that the index assigns to that face.  CY, CS, CDend and CZinb use
+the adjacent pairs (i, i+1), the faces of a simplicial structure; CL uses
+every pair i < j, with the bracket.  CL and CZinb index by a single point.
+The source is either FiniteAlgebra structure constants, stored as ints over
+one common denominator, or a weight-homogeneous piece of a free algebra
 (finite-dimensional because the differential preserves the total number of
-generator letters).  CL sums over pairs of factors, is not faced, and keeps
-a plain differential.
+generator letters); either way the differential, the d^2 check and the
+ranks run on integers.
 
 Betti numbers come from exact ranks over the rationals.  The module also
 houses the contracting homotopy of the free-dialgebra complex, the
@@ -71,32 +73,114 @@ _THEORY_KIND = {
 }
 
 
-class ChainComplex:
-    """Based chain complex over the rationals.
+class IndexSet(NamedTuple):
+    """The index sets X_n of a chain complex and the faces of its degree n.
 
-    `terms[n]` is the ordered basis in degree n and `diff(n, term)` the
-    value of the differential on one basis term, as a Lin over degree n-1
-    terms.  Degrees run 1..n_max.
-
-    The differential is read through three hooks, which a subclass may
-    replace by a cheaper encoding of the basis: `_key(n, term)` encodes a
-    term, `_idiff(n, key)` is the image of an encoded term under
-    `scale * d` as a {key: coefficient} dict, and `_term(n, key)` decodes.
-    Here a key is the term itself and the scale is 1.
-
-    The sparse columns of `scale * d_n` are assembled once per degree and
-    cached.  `rank` eliminates on them directly, since
-    rank(scale * d) = rank d; `matrix` is the view of d_n itself, the same
-    columns divided by the scale.
+    `points(n)` lists X_n in basis order and `pairs(n)` the faces of degree
+    n as pairs (i, j), i < j: the adjacent pairs (i, i+1) by default, every
+    pair for the Leibniz complex.  `face(x, i)` is the face of x (an element
+    of X_{n-1}) under the face whose pair starts at i, and `symbol(x, i)`
+    names the product that face applies, one of `symbols`.  A bare index set
+    is a single point and its terms are bare entry tuples.
     """
 
-    scale = 1
+    points: Callable
+    face: Callable
+    symbol: Callable
+    symbols: tuple
+    bare: bool = False
+    pairs: Callable = lambda n: [(i, i + 1) for i in range(1, n)]
 
-    def __init__(self, theory, terms, diff=None, label=""):
+
+def cdend_symbol(i, r):
+    """Product used when face i hits the component r: star away from r, succ
+    just below, prec at r."""
+    if i == r - 1:
+        return "succ"
+    if i == r:
+        return "prec"
+    return "star"
+
+
+def cdend_face_index(i, r):
+    return r - 1 if i <= r - 1 else r
+
+
+def _level_side(s, i):
+    # the level tree of s is read in the height coding (root level 1), so
+    # leaf i points left exactly when s(i) < s(i+1)
+    return LEFT if s(i) < s(i + 1) else RIGHT
+
+
+# the enumerators are looked up when called, so that a wrapper installed on
+# this module's names sees every call
+_INDEX_SETS = {
+    "CY": IndexSet(lambda n: enumerate_trees(n), face, product_symbol,
+                   (LEFT, RIGHT)),
+    "CS": IndexSet(lambda n: all_permutations(n), perm_face, _level_side,
+                   (LEFT, RIGHT)),
+    "CDend": IndexSet(lambda n: range(1, n + 1),
+                      lambda r, i: cdend_face_index(i, r),
+                      lambda r, i: cdend_symbol(i, r),
+                      ("prec", "succ", "star")),
+    "CL": IndexSet(lambda n: (None,), lambda x, i: None,
+                   lambda x, i: "bracket", ("bracket",), bare=True,
+                   pairs=lambda n: [(i, j) for j in range(2, n + 1)
+                                    for i in range(1, j)]),
+    "CZinb": IndexSet(lambda n: (None,), lambda x, i: None,
+                      lambda x, i: "dot" if i == 1 else "star",
+                      ("dot", "star"), bare=True),
+}
+
+
+class ChainComplex:
+    """The chain complex  K[X_n] (x) A^(x)n  over the rationals, with
+
+        d (x; a_1..a_n) = sum_{(i, j)} (-1)^j
+              (face_i x; a_1..mu_{sym(x,i)}(a_i, a_j)..a_n without a_j)
+
+    summed over the face pairs (i, j) of degree n.  Degrees run 1..n_max and
+    `terms[n]` is the ordered basis in degree n.  `index` is an IndexSet;
+    `products[symbol]` sends a pair (a, b) of basis ids of A to the pairs
+    (c, coefficient) of  D * mu(a, b).  On the adjacent pairs (i, i+1) the
+    sign is (-1)^(i+1), and the differential is the alternating sum of the
+    faces: this is CY, CS, CDend and CZinb.  CL runs over every pair i < j
+    with the bracket.
+
+    The term (x; a_1..a_n) is keyed (position of x in X_n, (id a_1..id a_n))
+    by plain ints.  A finite source numbers its basis 0..dim-1 and its terms
+    carry these numbers already.  A free piece numbers its words and passes
+    them as `words`, the decode list: its terms carry the word objects, which
+    are encoded to ids by `_key` and decoded by `_term`, so only `diff`,
+    `diff_lin`, `face` and `matrix` ever meet the objects.  The first
+    differential asked of degree n gives X_n integer tables: one row
+    (i, j, position of face_i x in X_{n-1}, product, sign) per face pair.
+
+    Finite structure constants are stored as integer numerators over one
+    common denominator D (`scale`), the lcm of all their denominators; free
+    products are integral, with D = 1.  Every face applies exactly one
+    product, so the stored differential is exactly D * d.  Hence
+    (D d)^2 = D^2 d^2 vanishes exactly when d^2 does and rank(D d) = rank d:
+    the d^2 check and `rank` run in integers on the sparse columns of D * d,
+    assembled once per degree, and stay exact for rational structure
+    constants, not only integral ones.  `diff`, `diff_lin`, `face` and
+    `matrix` divide by D.
+    """
+
+    def __init__(self, theory, terms, index, products, scale=1, label="",
+                 words=None):
         self.theory = theory
         self.terms = {n: tuple(ts) for n, ts in terms.items()}
-        self._diff = diff
         self.label = label
+        self.scale = scale
+        self._ix = index
+        self._products = products
+        self._words = words
+        self._word_ids = (None if words is None else
+                          {w: i for i, w in enumerate(words)})
+        self._points = {}
+        self._faces = {}
+        self._last_keys = None, None
         self._columns_cache = {}
         self._matrix_cache = {}
         self._rank_cache = {}
@@ -108,21 +192,71 @@ class ChainComplex:
     def dim(self, n):
         return len(self.terms.get(n, ()))
 
+    def _points_of(self, n):
+        """X_n and the position of each of its points."""
+        X = self._points.get(n)
+        if X is None:
+            pts = tuple(self._ix.points(n))
+            X = self._points[n] = pts, {x: j for j, x in enumerate(pts)}
+        return X
+
     def _key(self, n, term):
-        return term
+        if self._ix.bare:
+            return 0, term
+        x, entries = term
+        if self._word_ids is not None:
+            entries = tuple(map(self._word_ids.__getitem__, entries))
+        return self._points_of(n)[1][x], entries
+
+    def _keys(self, n):
+        """The keys of terms[n], in basis order.  Degree n is the columns of
+        d_n and the rows of d_{n+1}; keeping the last degree asked lets an
+        ascending sweep encode each basis once without holding them all."""
+        if self._last_keys[0] != n:
+            self._last_keys = n, [self._key(n, t)
+                                  for t in self.terms.get(n, ())]
+        return self._last_keys[1]
 
     def _term(self, n, key):
-        return key
-
-    def _idiff(self, n, key):
-        return self._diff(n, key).data
+        j, entries = key
+        if self._words is not None:
+            entries = tuple(map(self._words.__getitem__, entries))
+        return entries if self._ix.bare else (self._points_of(n)[0][j],
+                                              entries)
 
     def _lin(self, n, image):
-        """The Lin over degree-n terms of an encoded image of scale * d."""
+        """The Lin over degree-n terms of an encoded image of D * d."""
         scale = self.scale
         return Lin.wrap({
             self._term(n, k): c if scale == 1 else Fraction(c, scale)
             for k, c in image.items()})
+
+    def _face_table(self, n):
+        """Per point x of X_n: (i, j, position of face_i x, product, sign)
+        for each face pair (i, j) of degree n."""
+        table = self._faces.get(n)
+        if table is None:
+            ix, products = self._ix, self._products
+            pos = self._points_of(n - 1)[1] if n > 1 else {}
+            pairs = ix.pairs(n)
+            table = self._faces[n] = [
+                tuple((i, j, pos[ix.face(x, i)], products[ix.symbol(x, i)],
+                       -1 if j % 2 else 1) for i, j in pairs)
+                for x in self._points_of(n)[0]]
+        return table
+
+    def _idiff(self, n, key):
+        """D * d of one encoded term, as a {key: coefficient} dict."""
+        x, e = key
+        return _apply_faces(e, self._face_table(n)[x])
+
+    def face(self, n, term, i):
+        """The face (i, i+1) of one degree-n basis term, as a Lin over
+        degree n-1 terms (without the sign of d)."""
+        x, e = self._key(n, term)
+        return self._lin(n - 1, _apply_faces(
+            e, [row[:4] + (1,) for row in self._face_table(n)[x]
+                if row[:2] == (i, i + 1)]))
 
     def diff(self, n, term):
         return self._lin(n - 1, self._idiff(n, self._key(n, term)))
@@ -147,24 +281,21 @@ class ChainComplex:
         return mat
 
     def _columns(self, n):
-        """Sparse columns of scale * d_n, assembled on the first call."""
+        """Sparse columns of D * d_n, assembled on the first call."""
         cols = self._columns_cache.get(n)
         if cols is not None:
             return cols
-        terms = self.terms.get(n, ())
-        if n <= 1 or not terms:
-            cols = [{} for _ in terms]
+        if n <= 1 or not self.terms.get(n):
+            cols = [{} for _ in self.terms.get(n, ())]
         else:
-            rows = {self._key(n - 1, t): i
-                    for i, t in enumerate(self.terms[n - 1])}
-            cols = [{rows[k]: c
-                     for k, c in self._idiff(n, self._key(n, t)).items()}
-                    for t in terms]
+            rows = {k: i for i, k in enumerate(self._keys(n - 1))}
+            cols = [{rows[k]: c for k, c in self._idiff(n, key).items()}
+                    for key in self._keys(n)]
         self._columns_cache[n] = cols
         return cols
 
     def verify_d_squared(self):
-        """Check d o d = 0 exactly on every basis term; (scale * d)^2 is
+        """Check d o d = 0 exactly on every basis term; (D * d)^2 is
         checked, which vanishes exactly when d^2 does."""
         for n in sorted(self.terms):
             if n < 2 or (n - 1) not in self.terms:
@@ -202,149 +333,18 @@ class ChainComplex:
         return {n: self.betti(n) for n in range(1, up_to + 1)}
 
 
-# ---------------------------------------------------------------------------
-# the faced-complex kernel
-# ---------------------------------------------------------------------------
-
-class IndexSet(NamedTuple):
-    """The index sets X_n of a faced complex.
-
-    `points(n)` lists X_n in basis order, `face(x, i)` is face i of x (an
-    element of X_{n-1}) and `symbol(x, i)` names the product that face i
-    applies, one of `symbols`.  A bare index set is a single point and its
-    terms are bare entry tuples.
-    """
-
-    points: Callable
-    face: Callable
-    symbol: Callable
-    symbols: tuple
-    bare: bool = False
-
-
-def cdend_symbol(i, r):
-    """Product used when face i hits the component r: star away from r, succ
-    just below, prec at r."""
-    if i == r - 1:
-        return "succ"
-    if i == r:
-        return "prec"
-    return "star"
-
-
-def cdend_face_index(i, r):
-    return r - 1 if i <= r - 1 else r
-
-
-def _level_side(s, i):
-    # the level tree of s is read in the height coding (root level 1), so
-    # leaf i points left exactly when s(i) < s(i+1)
-    return LEFT if s(i) < s(i + 1) else RIGHT
-
-
-# the enumerators are looked up when called, so that a wrapper installed on
-# this module's names sees every call
-_INDEX_SETS = {
-    "CY": IndexSet(lambda n: enumerate_trees(n), face, product_symbol,
-                   (LEFT, RIGHT)),
-    "CS": IndexSet(lambda n: all_permutations(n), perm_face, _level_side,
-                   (LEFT, RIGHT)),
-    "CDend": IndexSet(lambda n: range(1, n + 1),
-                      lambda r, i: cdend_face_index(i, r),
-                      lambda r, i: cdend_symbol(i, r),
-                      ("prec", "succ", "star")),
-    "CZinb": IndexSet(lambda n: (None,), lambda x, i: None,
-                      lambda x, i: "dot" if i == 1 else "star",
-                      ("dot", "star"), bare=True),
-}
-
-
-class FacedComplex(ChainComplex):
-    """The faced complex  K[X_n] (x) A^(x)n  with
-
-        d (x; a_1..a_n) = sum_{i=1}^{n-1} (-1)^(i+1)
-                          (face_i x; a_1..mu_{sym(x,i)}(a_i, a_{i+1})..a_n).
-
-    `index` is an IndexSet; `products[symbol]` sends a pair (a, b) of basis
-    ids of A to the pairs (c, coefficient) of  D * mu(a, b).
-
-    The term (x; a_1..a_n) is keyed (position of x in X_n, (id a_1..id a_n))
-    by plain ints.  A finite source numbers its basis 0..dim-1 and its terms
-    carry these numbers already.  A free piece numbers its words and passes
-    them as `words`, the decode list: its terms carry the word objects, which
-    are encoded to ids by `_key` and decoded by `_term`, so only `diff`,
-    `diff_lin` and `matrix` ever meet the objects.  The first differential
-    asked of degree n gives X_n integer tables: face[x][i] is the position of
-    face_i x in X_{n-1}, sym[x][i] the product of face i.
-
-    Finite structure constants are stored as integer numerators over one
-    common denominator D, the lcm of all their denominators; free products
-    are integral, with D = 1.  Every face applies exactly one product, so
-    the stored differential is exactly D * d.  Hence (D d)^2 = D^2 d^2
-    vanishes exactly when d^2 does and rank(D d) = rank d: the d^2 check and
-    `rank` run in integers and stay exact for rational structure constants,
-    not only integral ones.  `diff`, `diff_lin` and `matrix` divide by D.
-    """
-
-    def __init__(self, theory, terms, index, products, scale=1, label="",
-                 words=None):
-        super().__init__(theory, terms, label=label)
-        self._ix = index
-        self._products = products
-        self.scale = scale
-        self._words = words
-        self._word_ids = (None if words is None else
-                          {w: i for i, w in enumerate(words)})
-        self._points = {}
-        self._faces = {}
-
-    def _points_of(self, n):
-        """X_n and the position of each of its points."""
-        X = self._points.get(n)
-        if X is None:
-            pts = tuple(self._ix.points(n))
-            X = self._points[n] = pts, {x: j for j, x in enumerate(pts)}
-        return X
-
-    def _key(self, n, term):
-        if self._ix.bare:
-            return 0, term
-        x, entries = term
-        if self._word_ids is not None:
-            entries = tuple(map(self._word_ids.__getitem__, entries))
-        return self._points_of(n)[1][x], entries
-
-    def _term(self, n, key):
-        j, entries = key
-        if self._words is not None:
-            entries = tuple(map(self._words.__getitem__, entries))
-        return entries if self._ix.bare else (self._points_of(n)[0][j],
-                                              entries)
-
-    def _face_table(self, n):
-        """Per point of X_n: (i, face position, product, sign) for each face
-        i = 1..n-1."""
-        table = self._faces.get(n)
-        if table is None:
-            ix, products = self._ix, self._products
-            pos = self._points_of(n - 1)[1] if n > 1 else {}
-            table = self._faces[n] = [
-                tuple((i, pos[ix.face(x, i)], products[ix.symbol(x, i)],
-                       1 if i % 2 else -1) for i in range(1, n))
-                for x in self._points_of(n)[0]]
-        return table
-
-    def _idiff(self, n, key):
-        j, e = key
-        acc = {}
-        for i, fj, mul, sign in self._face_table(n)[j]:
-            pairs = mul(e[i - 1:i + 1])
-            if pairs:
-                head, tail = e[:i - 1], e[i + 1:]
-                accumulate(
-                    acc, (((fj, head + (b,) + tail), c) for b, c in pairs),
-                    sign)
-        return acc
+def _apply_faces(e, rows):
+    """sign * (face position; e with mu(e_i, e_j) in slot i and slot j
+    deleted), summed over the face rows (i, j, face position, product,
+    sign), as a {key: coefficient} dict."""
+    acc = {}
+    for i, j, fx, mul, sign in rows:
+        pairs = mul((e[i - 1], e[j - 1]))
+        if pairs:
+            head, tail = e[:i - 1], e[i:j - 1] + e[j:]
+            accumulate(
+                acc, (((fx, head + (b,) + tail), c) for b, c in pairs), sign)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -353,16 +353,6 @@ class FacedComplex(ChainComplex):
 
 def _tuples(dim, n):
     return itertools.product(range(dim), repeat=n)
-
-
-def _merge(entry_tuple, i, vec):
-    """All terms obtained by replacing entries (i, i+1) by basis elements of
-    the product vector `vec` (a dense coefficient tuple)."""
-    out = []
-    for b, c in enumerate(vec):
-        if c:
-            out.append((entry_tuple[:i] + (b,) + entry_tuple[i + 2:], c))
-    return out
 
 
 def _product_vector(alg, symbol, a, b):
@@ -396,7 +386,7 @@ def _finite(theory, alg, n_max):
         [(x, e) for x in index.points(n) for e in _tuples(alg.dim, n)]
         for n in range(1, n_max + 1)
     }
-    return FacedComplex(theory, terms, index, products, scale,
+    return ChainComplex(theory, terms, index, products, scale,
                         label="%s(%s)" % (theory, alg.name))
 
 
@@ -415,8 +405,6 @@ def build_complex(theory, source, n_max, weight=None):
         if source.kind != want:
             raise UnsupportedTheoryForSource(
                 "%s needs a %s source, got %s" % (theory, want, source.kind))
-        if theory == "CL":
-            return _cl_finite(source, n_max)
         return _finite(theory, source, n_max)
     if isinstance(source, tuple) and source and source[0] == "free":
         if weight is None:
@@ -430,22 +418,6 @@ def build_complex(theory, source, n_max, weight=None):
         raise UnsupportedTheoryForSource(
             "free pieces are supported for CY and CDend only")
     raise UnsupportedTheoryForSource("unusable source %r" % (source,))
-
-
-def _cl_finite(alg, n_max):
-    terms = {n: list(_tuples(alg.dim, n)) for n in range(1, n_max + 1)}
-
-    def diff(n, entries):
-        acc = {}
-        for j in range(2, n + 1):
-            rest = entries[:j - 1] + entries[j:]
-            for i in range(1, j):
-                vec = alg.mul_basis("bracket", entries[i - 1], entries[j - 1])
-                accumulate(acc, ((rest[:i - 1] + (b,) + rest[i:], c)
-                                 for b, c in enumerate(vec) if c), (-1) ** j)
-        return Lin.wrap(acc)
-
-    return ChainComplex("CL", terms, diff, label="CL(%s)" % alg.name)
 
 
 # ---------------------------------------------------------------------------
@@ -478,14 +450,14 @@ class _WordProducts(dict):
         return pairs
 
 
-class FreePiece(FacedComplex):
-    """The weight-w piece of the faced complex of the free algebra on
+class FreePiece(ChainComplex):
+    """The weight-w piece of the chain complex of the free algebra on
     dim_v generators (free dialgebra for CY, free dendriform algebra for
     CDend): terms (x; w_1..w_n) with x in X_n and words w_i whose lengths
     sum to w, ordered by x and then by the words.
 
     The words of lengths 1..w are numbered once, in their sort order, and
-    passed to the kernel as its decode list, so terms are keyed by tuples of
+    passed to ChainComplex as its decode list, so terms are keyed by tuples of
     word ids and sorting the id tuples sorts the terms.  Each product of
     the free algebra becomes an int table (id a, id b) -> ((id c,
     coefficient), ...) that fills on first use.
@@ -641,24 +613,6 @@ def _split(total: Lin, part):
 # ---------------------------------------------------------------------------
 # bar-unit degeneracies on CY
 # ---------------------------------------------------------------------------
-
-def cy_face(alg, term, i):
-    """Single face d_i on a CY term over a finite dialgebra, as a Lin."""
-    y, entries = term
-    vec = _product_vector(
-        alg, product_symbol(y, i), entries[i - 1], entries[i])
-    fy = face(y, i)
-    return Lin({(fy, t): c for t, c in _merge(entries, i - 1, vec)})
-
-
-def cdend_face(alg, term, i):
-    """Single face d_i on a CDend term over a finite dendriform algebra."""
-    r, entries = term
-    vec = _product_vector(
-        alg, cdend_symbol(i, r), entries[i - 1], entries[i])
-    fr = cdend_face_index(i, r)
-    return Lin({(fr, t): c for t, c in _merge(entries, i - 1, vec)})
-
 
 def cy_degeneracy(term, i, unit_vec):
     """s_i: bifurcate leaf i and insert the bar-unit after entry i."""

@@ -161,6 +161,9 @@ _MALFORMED_ALGEBRAS = {
     "no-tables": '{"kind": "dialgebra", "basis": ["1"]}',
     "cell-x": json.dumps({"kind": "dialgebra", "basis": ["1"],
                           "tables": {"left": [[["x"]]], "right": [[[1]]]}}),
+    "basis-string": json.dumps({"kind": "dialgebra", "basis": "1",
+                                "tables": {"left": [[[1]]],
+                                           "right": [[[1]]]}}),
 }
 
 
@@ -184,6 +187,17 @@ def test_malformed_input_is_a_domain_error(command, text, max_dim, tmp_path,
     code, out = run_cli(capsys, command, "--file", str(path), "--json")
     assert code == 1
     assert json.loads(out)["error"] == "MalformedInput"
+
+
+@pytest.mark.parametrize("command", ["halo", "assoc"])
+def test_wrong_algebra_kind_is_a_domain_error(command, tmp_path, capsys):
+    # both commands are defined on dialgebras only
+    path = tmp_path / "zinb.json"
+    path.write_text(fixture("truncated_free_zinbiel").to_json(),
+                    encoding="utf-8")
+    code, out = run_cli(capsys, command, "--file", str(path), "--json")
+    assert code == 1
+    assert json.loads(out)["error"] == "IncompatibleAlgebras"
 
 
 def test_degree_guards_raise_degree_out_of_range(capsys):

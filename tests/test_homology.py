@@ -15,14 +15,12 @@ from dialab.homology import (
     build_cdend_free,
     build_complex,
     build_cy_free,
-    cdend_face,
     cdend_face_index,
     cdend_split_diff,
     cdend_symbol,
     chain_map,
     cy_bidegree,
     cy_degeneracy,
-    cy_face,
     cy_split_diff,
     epsilon_map,
     homotopy_free_dialgebra,
@@ -113,6 +111,18 @@ def _rescaled(alg, lam):
 def _reference_diff(theory, alg, n, term):
     """d on one basis term, written out face by face from the structure
     constants, with Lin arithmetic over the rationals."""
+    if theory == "CL":
+        # the bracket of every pair i < j, in slot i, deleting slot j
+        out = Lin()
+        for j in range(2, n + 1):
+            for i in range(1, j):
+                vec = alg.mul_basis("bracket", term[i - 1], term[j - 1])
+                for c, coeff in enumerate(vec):
+                    if coeff:
+                        merged = (term[:i - 1] + (c,) + term[i:j - 1]
+                                  + term[j:])
+                        out = out + Lin.term(merged, (-1) ** j * coeff)
+        return out
     x, entries = (None, term) if theory == "CZinb" else term
     out = Lin()
     for i in range(1, n):
@@ -149,6 +159,7 @@ KERNEL_SOURCES = [
     ("CY", "diff_algebra", {}), ("CS", "diff_algebra", {}),
     ("CDend", "truncated_free_dendriform", {"dim_v": 1, "maxdeg": 2}),
     ("CZinb", "truncated_free_zinbiel", {"dim_v": 1, "maxdeg": 3}),
+    ("CL", "truncated_free_leibniz", {"dim_v": 1, "maxdeg": 3}),
 ]
 
 
@@ -172,9 +183,15 @@ def test_d_squared_check_catches_a_perturbed_rational_table():
               for p, tab in good.tables.items()}
     tables["left"][1][2][0] += Fraction(1, 7)
     bad = FiniteAlgebra("dialgebra", good.basis, tables, check=False)
-    for theory in ("CY", "CS"):
-        build_complex(theory, good, 3).verify_d_squared()
-        cx = build_complex(theory, bad, 3)
+    good_leib = leibnizification(good)
+    bracket = [[list(v) for v in row] for row in good_leib.tables["bracket"]]
+    bracket[1][2][0] += Fraction(1, 7)
+    bad_leib = FiniteAlgebra("leibniz", good.basis, {"bracket": bracket},
+                             check=False)
+    for theory, ok, broken in (("CY", good, bad), ("CS", good, bad),
+                               ("CL", good_leib, bad_leib)):
+        build_complex(theory, ok, 3).verify_d_squared()
+        cx = build_complex(theory, broken, 3)
         assert cx.scale > 1
         with pytest.raises(AssertionError, match="d\\^2 != 0"):
             cx.verify_d_squared()
@@ -186,9 +203,13 @@ def test_integer_ranks_match_fraction_ranks(name):
     # must rank the same and hold the values of d itself
     alg = _rescaled(fixture(name), [Fraction(2), Fraction(-1, 3),
                                     Fraction(3, 2), Fraction(-4, 5)])
-    for theory in ("CY", "CS"):
-        cx = build_complex(theory, alg, 4)
-        assert cx.scale > 1
+    for theory, src in (("CY", alg), ("CS", alg),
+                        ("CL", leibnizification(alg))):
+        cx = build_complex(theory, src, 4)
+        # vector_dialgebra has x -| y = y |- x, so its bracket is zero and
+        # is stored over D = 1
+        assert (cx.scale > 1) != (theory == "CL"
+                                  and name == "vector_dialgebra")
         for n in range(2, 5):
             mat = cx.matrix(n)
             rows = {u: i for i, u in enumerate(cx.terms[n - 1])}
@@ -292,6 +313,7 @@ def test_cl_bottom_differential_is_the_bracket():
 
 def test_simplicial_face_relations_on_chains():
     alg = fixture("tensor_square")
+    cx = build_complex("CY", alg, 4)
     for n in (3, 4):
         for y in enumerate_trees(n):
             for entries in itertools.islice(
@@ -300,11 +322,11 @@ def test_simplicial_face_relations_on_chains():
                 for j in range(2, n):
                     for i in range(1, j):
                         lhs = Lin()
-                        for t, c in cy_face(alg, term, j).data.items():
-                            lhs = lhs + c * cy_face(alg, t, i)
+                        for t, c in cx.face(n, term, j).data.items():
+                            lhs = lhs + c * cx.face(n - 1, t, i)
                         rhs = Lin()
-                        for t, c in cy_face(alg, term, i).data.items():
-                            rhs = rhs + c * cy_face(alg, t, j - 1)
+                        for t, c in cx.face(n, term, i).data.items():
+                            rhs = rhs + c * cx.face(n - 1, t, j - 1)
                         assert lhs == rhs
 
 
@@ -313,6 +335,7 @@ def test_simplicial_face_relations_on_cdend_chains():
                 zinbiel_as_dendriform_algebra(
                     fixture("truncated_free_zinbiel", dim_v=1, maxdeg=2))):
         k = alg.dim
+        cx = build_complex("CDend", alg, 4)
         for n in (3, 4):
             for r in range(1, n + 1):
                 for entries in itertools.islice(
@@ -321,11 +344,11 @@ def test_simplicial_face_relations_on_cdend_chains():
                     for j in range(2, n):
                         for i in range(1, j):
                             lhs = Lin()
-                            for t, c in cdend_face(alg, term, j).data.items():
-                                lhs = lhs + c * cdend_face(alg, t, i)
+                            for t, c in cx.face(n, term, j).data.items():
+                                lhs = lhs + c * cx.face(n - 1, t, i)
                             rhs = Lin()
-                            for t, c in cdend_face(alg, term, i).data.items():
-                                rhs = rhs + c * cdend_face(alg, t, j - 1)
+                            for t, c in cx.face(n, term, i).data.items():
+                                rhs = rhs + c * cx.face(n - 1, t, j - 1)
                             assert lhs == rhs
 
 
@@ -389,6 +412,7 @@ def test_bar_unit_degeneracy_identities():
         seen_nonempty += 1
         e = halo.point
         k = alg.dim
+        cx = build_complex("CY", alg, 4)
         for n in (2, 3):
             samples = list(itertools.product(
                 enumerate_trees(n),
@@ -399,23 +423,23 @@ def test_bar_unit_degeneracy_identities():
                     s_j = cy_degeneracy(term, j, e)
                     # d_j s_j = id = d_{j+1} s_j (whenever the face exists)
                     if 1 <= j <= n:
-                        assert _faces(alg, s_j, j) == Lin.term(term)
+                        assert _faces(cx, s_j, j) == Lin.term(term)
                     if j + 1 <= n:
-                        assert _faces(alg, s_j, j + 1) == Lin.term(term)
+                        assert _faces(cx, s_j, j + 1) == Lin.term(term)
                 for j in range(n + 1):
                     for i in range(1, n):
                         s_j = cy_degeneracy(term, j, e)
                         if i < j:
                             expect = Lin()
-                            for t, c in cy_face(alg, term, i).data.items():
+                            for t, c in cx.face(n, term, i).data.items():
                                 expect = expect + c * cy_degeneracy(
                                     t, j - 1, e)
-                            assert _faces(alg, s_j, i) == expect
+                            assert _faces(cx, s_j, i) == expect
                         elif i > j + 1:
                             expect = Lin()
-                            for t, c in cy_face(alg, term, i - 1).data.items():
+                            for t, c in cx.face(n, term, i - 1).data.items():
                                 expect = expect + c * cy_degeneracy(t, j, e)
-                            assert _faces(alg, s_j, i) == expect
+                            assert _faces(cx, s_j, i) == expect
                 # s_i s_j = s_{j+1} s_i for i < j; equality fails at i = j
                 for j in range(n + 1):
                     for i in range(j):
@@ -425,10 +449,10 @@ def test_bar_unit_degeneracy_identities():
     assert seen_nonempty >= 4  # the catalog has several bar-unital members
 
 
-def _faces(alg, x: Lin, i) -> Lin:
+def _faces(cx, x: Lin, i) -> Lin:
     out = Lin()
     for t, c in x.data.items():
-        out = out + c * cy_face(alg, t, i)
+        out = out + c * cx.face(len(t[1]), t, i)
     return out
 
 
