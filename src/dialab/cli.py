@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import finalg, freealg, homology, operads, trees
 from .errors import DegreeOutOfRange, DialabError, MalformedInput
-from .lincomb import Lin
+from .lincomb import Lin, json_coeff
 
 
 class UsageError(Exception):
@@ -28,14 +27,8 @@ def _emit(args, human, payload):
         print(human)
 
 
-def _fmt_frac(c):
-    c = Fraction(c)
-    return int(c) if c.denominator == 1 else "%d/%d" % (c.numerator,
-                                                        c.denominator)
-
-
 def _lin_payload(x: Lin, render=str):
-    return [[_fmt_frac(c), render(t)] for t, c in x.items()]
+    return [[json_coeff(c), render(t)] for t, c in x.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +155,8 @@ def cmd_halo(args):
         return
     payload = {
         "empty": False,
-        "point": [_fmt_frac(c) for c in halo.point],
-        "directions": [[_fmt_frac(c) for c in d] for d in halo.directions],
+        "point": [json_coeff(c) for c in halo.point],
+        "directions": [[json_coeff(c) for c in d] for d in halo.directions],
     }
     human = "point: %s\naffine dimension: %d" % (
         payload["point"], len(halo.directions))
@@ -230,16 +223,13 @@ def cmd_koszul_dual(args):
     human = "generators: %s\nrelations (%d):\n%s" % (
         " ".join(dual.generators), dual.n_relations,
         "\n".join(str(r) for r in payload["relations"]))
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(human)
+    _emit(args, human, payload)
 
 
 def cmd_poincare(args):
     report = operads.poincare_check(args.degree)
     series = report["dias" if args.preset == "dias" else "dend"]
-    coeffs = [_fmt_frac(c) for c in series.coeffs]
+    coeffs = [json_coeff(c) for c in series.coeffs]
     payload = {
         "preset": args.preset,
         "degree": args.degree,

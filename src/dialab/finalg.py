@@ -10,8 +10,12 @@ A FiniteAlgebra is a basis plus one table per product of its kind:
     associative  mul
 
 tables[product][i][j] is the coefficient vector of e_i o e_j in the basis.
-Axioms are checked by brute force over all basis triples with exact
-arithmetic; construction fails on violation unless checking is deferred.
+The defining relations of each kind are written once, in RELATIONS, as
+signed monomials; check_axioms evaluates them by brute force over all basis
+triples with exact arithmetic, and operads.preset_quadratic reads its
+relation vectors off the same rows.  Construction fails on a violation
+unless checking is deferred.  The truncated free fixtures read their bases
+and products from freealg.FREE.
 """
 
 from __future__ import annotations
@@ -28,10 +32,10 @@ from .errors import (
     TooLarge,
     UnknownFixture,
 )
-from .lincomb import Lin, accumulate
-from .linalg import Echelon, solve_affine
+from .lincomb import accumulate, image_pairs, json_coeff
+from .linalg import Echelon, in_row_space, solve_affine
 from . import freealg
-from .trees import LEFT, RIGHT, enumerate_trees
+from .trees import enumerate_trees  # noqa: F401  bench/tracing.py wraps it
 
 PRODUCTS = {
     "dialgebra": ("left", "right"),
@@ -141,17 +145,13 @@ class FiniteAlgebra:
     # -- JSON wire format ---------------------------------------------------
 
     def to_json(self):
-        def cell(c):
-            return int(c) if c.denominator == 1 else "%d/%d" % (
-                c.numerator, c.denominator)
-
         return json.dumps(
             {
                 "kind": self.kind,
                 "basis": list(self.basis),
                 "tables": {
                     prod: [
-                        [[cell(c) for c in vec] for vec in row]
+                        [[json_coeff(c) for c in vec] for vec in row]
                         for row in tab
                     ]
                     for prod, tab in sorted(self.tables.items())
@@ -181,99 +181,80 @@ class FiniteAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# axiom checking
+# defining relations
 # ---------------------------------------------------------------------------
 
-def _axiom_set(kind):
-    """Each axiom is (id, lhs, rhs) where the sides are closures of three
-    product applications on vectors."""
+XYZ, XZY = (0, 1, 2), (0, 2, 1)
+_L, _R, _P, _S = "left", "right", "prec", "succ"
 
-    def di(alg, p1, p2, assoc_first):
-        def ev(x, y, z):
-            if assoc_first:
-                return alg.mul(p2, alg.mul(p1, x, y), z)
-            return alg.mul(p1, x, alg.mul(p2, y, z))
-        return ev
-
-    if kind == "dialgebra":
-        L, R = "left", "right"
-        return [
-            ("1", lambda A: di(A, L, L, True), lambda A: di(A, L, R, False)),
-            ("2", lambda A: di(A, L, L, True), lambda A: di(A, L, L, False)),
-            ("3", lambda A: di(A, R, L, True), lambda A: di(A, R, L, False)),
-            ("4", lambda A: di(A, L, R, True), lambda A: di(A, R, R, False)),
-            ("5", lambda A: di(A, R, R, True), lambda A: di(A, R, R, False)),
-        ]
-    if kind == "dendriform":
-        P, S = "prec", "succ"
-
-        def star(A):
-            def ev(x, y):
-                return tuple(
-                    a + b for a, b in zip(A.mul(P, x, y), A.mul(S, x, y)))
-            return ev
-
-        return [
-            ("i",
-             lambda A: lambda x, y, z: A.mul(P, A.mul(P, x, y), z),
-             lambda A: lambda x, y, z: A.mul(P, x, star(A)(y, z))),
-            ("ii",
-             lambda A: lambda x, y, z: A.mul(P, A.mul(S, x, y), z),
-             lambda A: lambda x, y, z: A.mul(S, x, A.mul(P, y, z))),
-            ("iii",
-             lambda A: lambda x, y, z: A.mul(S, star(A)(x, y), z),
-             lambda A: lambda x, y, z: A.mul(S, x, A.mul(S, y, z))),
-        ]
-    if kind == "leibniz":
-        B = "bracket"
-        return [
-            ("leibniz",
-             lambda A: lambda x, y, z: A.mul(B, x, A.mul(B, y, z)),
-             lambda A: lambda x, y, z: tuple(
-                 a - b
-                 for a, b in zip(
-                     A.mul(B, A.mul(B, x, y), z),
-                     A.mul(B, A.mul(B, x, z), y))))
-        ]
-    if kind == "zinbiel":
-        D = "dot"
-        return [
-            ("zinbiel",
-             lambda A: lambda x, y, z: A.mul(D, A.mul(D, x, y), z),
-             lambda A: lambda x, y, z: tuple(
-                 a + b
-                 for a, b in zip(
-                     A.mul(D, x, A.mul(D, y, z)),
-                     A.mul(D, x, A.mul(D, z, y)))))
-        ]
-    if kind == "associative":
-        M = "mul"
-        return [
-            ("assoc",
-             lambda A: lambda x, y, z: A.mul(M, A.mul(M, x, y), z),
-             lambda A: lambda x, y, z: A.mul(M, x, A.mul(M, y, z)))
-        ]
-    raise AxiomFailure("unknown kind %r" % (kind,))
+# RELATIONS[kind][axiom id] lists the signed monomials (coeff, s, p, q,
+# order) whose sum vanishes in every algebra of that kind.  s = 1 is
+# x p (y q z) and s = 2 is (x p y) q z, the coordinates of
+# operads.QuadraticData; `order` says which of x, y, z fills each slot, so
+# XZY evaluates the monomial on (x, z, y).
+RELATIONS = {
+    "dialgebra": {
+        # (x-|y)-|z = x-|(y|-z)
+        "1": [(1, 2, _L, _L, XYZ), (-1, 1, _L, _R, XYZ)],
+        # (x-|y)-|z = x-|(y-|z)
+        "2": [(1, 2, _L, _L, XYZ), (-1, 1, _L, _L, XYZ)],
+        # (x|-y)-|z = x|-(y-|z)
+        "3": [(1, 2, _R, _L, XYZ), (-1, 1, _R, _L, XYZ)],
+        # (x-|y)|-z = x|-(y|-z)
+        "4": [(1, 2, _L, _R, XYZ), (-1, 1, _R, _R, XYZ)],
+        # (x|-y)|-z = x|-(y|-z)
+        "5": [(1, 2, _R, _R, XYZ), (-1, 1, _R, _R, XYZ)],
+    },
+    "dendriform": {
+        # (x<y)<z = x<(y<z) + x<(y>z)
+        "i": [(1, 2, _P, _P, XYZ), (-1, 1, _P, _P, XYZ),
+              (-1, 1, _P, _S, XYZ)],
+        # (x>y)<z = x>(y<z)
+        "ii": [(1, 2, _S, _P, XYZ), (-1, 1, _S, _P, XYZ)],
+        # (x<y)>z + (x>y)>z = x>(y>z)
+        "iii": [(1, 2, _P, _S, XYZ), (1, 2, _S, _S, XYZ),
+                (-1, 1, _S, _S, XYZ)],
+    },
+    "leibniz": {
+        # [x,[y,z]] = [[x,y],z] - [[x,z],y]
+        "leibniz": [(1, 1, "bracket", "bracket", XYZ),
+                    (-1, 2, "bracket", "bracket", XYZ),
+                    (1, 2, "bracket", "bracket", XZY)],
+    },
+    "zinbiel": {
+        # (x.y).z = x.(y.z) + x.(z.y)
+        "zinbiel": [(1, 2, "dot", "dot", XYZ), (-1, 1, "dot", "dot", XYZ),
+                    (-1, 1, "dot", "dot", XZY)],
+    },
+    "associative": {
+        "assoc": [(1, 2, "mul", "mul", XYZ), (-1, 1, "mul", "mul", XYZ)],
+    },
+}
 
 
 def check_axioms(alg: FiniteAlgebra):
-    """Brute-force check over all basis triples.
+    """Brute-force check of RELATIONS[alg.kind] over all basis triples.
 
     Returns "pass" or a sorted list of (axiom id, (i, j, k)) witnesses.
     """
+    sparse = {prod: [[[(t, c) for t, c in enumerate(vec) if c]
+                      for vec in row] for row in tab]
+              for prod, tab in alg.tables.items()}
     failures = []
-    for axiom_id, lhs, rhs in _axiom_set(alg.kind):
-        f, g = lhs(alg), rhs(alg)
-        for i, j, k in itertools.product(range(alg.dim), repeat=3):
-            x = alg.unit_vector(i)
-            y = alg.unit_vector(j)
-            z = alg.unit_vector(k)
-            if f(x, y, z) != g(x, y, z):
-                failures.append((axiom_id, (i, j, k)))
-    if not failures:
-        return "pass"
-    failures.sort()
-    return failures
+    for axiom_id, monomials in RELATIONS[alg.kind].items():
+        for triple in itertools.product(range(alg.dim), repeat=3):
+            acc = {}
+            for coeff, s, p, q, order in monomials:
+                x, y, z = (triple[v] for v in order)
+                if s == 1:
+                    for t, c in sparse[q][y][z]:
+                        accumulate(acc, sparse[p][x][t], coeff * c)
+                else:
+                    for t, c in sparse[p][x][y]:
+                        accumulate(acc, sparse[q][t][z], coeff * c)
+            if acc:
+                failures.append((axiom_id, triple))
+    return sorted(failures) or "pass"
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +280,7 @@ class Halo:
         if self.is_empty:
             return False
         delta = [Fraction(a) - b for a, b in zip(vec, self.point)]
-        if not self.directions:
-            return all(x == 0 for x in delta)
-        rows = [list(d) for d in self.directions]
-        sol = solve_affine(
-            [[rows[r][c] for r in range(len(rows))]
-             for c in range(len(delta))],
-            delta,
-        )
-        return sol is not None
+        return in_row_space(self.directions, delta)
 
     def __repr__(self):
         if self.is_empty:
@@ -668,100 +641,30 @@ def vector_dialgebra(A: FiniteAlgebra, n) -> FiniteAlgebra:
 
 # -- truncated free algebras ------------------------------------------------
 
-def _letters(dim_v):
-    return ["x%d" % (i + 1) for i in range(dim_v)]
+def truncated_free(kind, dim_v, maxdeg) -> FiniteAlgebra:
+    """The free algebra freealg.FREE[kind] on dim_v letters, modulo the
+    terms of degree above maxdeg; the basis is in sort order."""
+    carrier = freealg.FREE[kind]
+    letters = ["x%d" % (i + 1) for i in range(dim_v)]
+    basis = [w for n in range(1, maxdeg + 1)
+             for w in sorted(carrier.basis(letters, n),
+                             key=lambda w: w.sort_key())]
+    index = {w: i for i, w in enumerate(basis)}
 
+    def table(op):
+        def pairs_of(i, j):
+            a, b = basis[i], basis[j]
+            if len(a) + len(b) > maxdeg:
+                return ()
+            return ((index[t], c)
+                    for t, c in image_pairs(carrier.product(a, b, op)))
 
-def _truncate_table(basis, product, maxdeg, degree):
-    index = {b: i for i, b in enumerate(basis)}
+        return _table(len(basis), pairs_of)
 
-    def pairs_of(i, j):
-        a, b = basis[i], basis[j]
-        if degree(a) + degree(b) > maxdeg:
-            return ()
-        return ((index[t], c) for t, c in product(a, b).data.items())
-
-    return _table(len(basis), pairs_of)
-
-
-def truncated_free_dialgebra(dim_v, maxdeg) -> FiniteAlgebra:
-    letters = _letters(dim_v)
-    basis = []
-    for n in range(1, maxdeg + 1):
-        for ltrs in itertools.product(letters, repeat=n):
-            for p in range(n):
-                basis.append(freealg.PointedWord(ltrs, p))
-    basis.sort(key=lambda w: w.sort_key())
-    deg = lambda w: len(w)
-    tables = {
-        side: _truncate_table(
-            basis,
-            lambda a, b, s=side: freealg.dias_mul(
-                Lin.term(a), Lin.term(b), LEFT if s == "left" else RIGHT),
-            maxdeg, deg)
-        for side in ("left", "right")
-    }
     return FiniteAlgebra(
-        "dialgebra", [str(b) for b in basis], tables,
-        name="free_dialgebra(%d)<=%d" % (dim_v, maxdeg))
-
-
-def truncated_free_dendriform(dim_v, maxdeg) -> FiniteAlgebra:
-    letters = _letters(dim_v)
-    basis = []
-    for n in range(1, maxdeg + 1):
-        for t in enumerate_trees(n):
-            for ltrs in itertools.product(letters, repeat=n):
-                basis.append(freealg.DendTerm(t, ltrs))
-    basis.sort(key=lambda w: w.sort_key())
-    deg = lambda w: w.tree.degree
-    tables = {
-        op: _truncate_table(
-            basis,
-            lambda a, b, o=op: freealg.dend_mul(
-                Lin.term(a), Lin.term(b), o),
-            maxdeg, deg)
-        for op in ("prec", "succ")
-    }
-    return FiniteAlgebra(
-        "dendriform", [str(b) for b in basis], tables,
-        name="free_dendriform(%d)<=%d" % (dim_v, maxdeg))
-
-
-def _word_basis(dim_v, maxdeg):
-    letters = _letters(dim_v)
-    basis = []
-    for n in range(1, maxdeg + 1):
-        for ltrs in itertools.product(letters, repeat=n):
-            basis.append(freealg.Word(ltrs))
-    basis.sort(key=lambda w: w.sort_key())
-    return basis
-
-
-def truncated_free_zinbiel(dim_v, maxdeg) -> FiniteAlgebra:
-    basis = _word_basis(dim_v, maxdeg)
-    tables = {
-        "dot": _truncate_table(
-            basis,
-            lambda a, b: freealg.zinb_mul(Lin.term(a), Lin.term(b), "dot"),
-            maxdeg, len)
-    }
-    return FiniteAlgebra(
-        "zinbiel", [str(b) for b in basis], tables,
-        name="free_zinbiel(%d)<=%d" % (dim_v, maxdeg))
-
-
-def truncated_free_leibniz(dim_v, maxdeg) -> FiniteAlgebra:
-    basis = _word_basis(dim_v, maxdeg)
-    tables = {
-        "bracket": _truncate_table(
-            basis,
-            lambda a, b: freealg.leib_bracket_free(Lin.term(a), Lin.term(b)),
-            maxdeg, len)
-    }
-    return FiniteAlgebra(
-        "leibniz", [str(b) for b in basis], tables,
-        name="free_leibniz(%d)<=%d" % (dim_v, maxdeg))
+        kind, [str(w) for w in basis],
+        {op: table(op) for op in PRODUCTS[kind]},
+        name="free_%s(%d)<=%d" % (kind, dim_v, maxdeg))
 
 
 FIXTURES = {
@@ -779,13 +682,13 @@ FIXTURES = {
     "vector_dialgebra": lambda n=2, base=2: vector_dialgebra(
         group_algebra(base), n),
     "truncated_free_dialgebra": lambda dim_v=1, maxdeg=3:
-        truncated_free_dialgebra(dim_v, maxdeg),
+        truncated_free("dialgebra", dim_v, maxdeg),
     "truncated_free_dendriform": lambda dim_v=1, maxdeg=2:
-        truncated_free_dendriform(dim_v, maxdeg),
+        truncated_free("dendriform", dim_v, maxdeg),
     "truncated_free_zinbiel": lambda dim_v=1, maxdeg=3:
-        truncated_free_zinbiel(dim_v, maxdeg),
+        truncated_free("zinbiel", dim_v, maxdeg),
     "truncated_free_leibniz": lambda dim_v=1, maxdeg=3:
-        truncated_free_leibniz(dim_v, maxdeg),
+        truncated_free("leibniz", dim_v, maxdeg),
 }
 
 

@@ -11,13 +11,18 @@ Carriers and their bases:
 * free Leibniz     -- plain words with the left-iterated bracket.
 
 All products are bilinear over Lin combinations with exact int or Fraction
-coefficients.
+coefficients.  FREE[kind] describes each of the four free algebras once:
+its basis in each degree and its basis-level products.  The truncated free
+fixtures of finalg and the free chain-complex pieces of homology both read
+it.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Callable, NamedTuple
 
+from . import trees
 from .errors import IndexOutOfRange, UndefinedOnUnit
 from .lincomb import Lin, accumulate, bilinear
 from .trees import (
@@ -130,6 +135,9 @@ class DendTerm:
         self.tree = tree
         self.word = word
         self._hash = hash(("DT", tree.name, word))
+
+    def __len__(self):
+        return len(self.word)
 
     def __eq__(self, other):
         return (
@@ -435,6 +443,58 @@ def _leib_term(a: Word, b: Word) -> Lin:
 
 
 leib_bracket_free = bilinear(_leib_term)
+
+
+# ---------------------------------------------------------------------------
+# the free carriers, by algebra kind
+# ---------------------------------------------------------------------------
+
+class FreeCarrier(NamedTuple):
+    """A free algebra: `basis(letters, n)` yields its basis terms of degree
+    n on the generators `letters`, and `product(a, b, op)` is the product
+    named `op` of two basis terms, a `Lin | term`.  Every basis term
+    measures its degree with `len`."""
+
+    basis: Callable
+    product: Callable
+
+
+def _pointed_words(letters, n):
+    for ltrs in itertools.product(letters, repeat=n):
+        for p in range(n):
+            yield PointedWord(ltrs, p)
+
+
+def _dend_terms(letters, n):
+    # looked up when called, so that a wrapper installed on trees sees it
+    for t in trees.enumerate_trees(n):
+        for ltrs in itertools.product(letters, repeat=n):
+            yield DendTerm(t, ltrs)
+
+
+def _words(letters, n):
+    return (Word(ltrs) for ltrs in itertools.product(letters, repeat=n))
+
+
+def _named(name, mul):
+    """The basis-level product of a carrier whose one product is `name`."""
+
+    def product(a, b, op):
+        if op != name:
+            raise IndexOutOfRange("op must be %s" % (name,))
+        return mul(a, b)
+
+    return product
+
+
+# the products by name: "left"/"right" (dialgebra), "prec"/"succ" and their
+# sum "star" (dendriform), "dot" (Zinbiel), "bracket" (Leibniz)
+FREE = {
+    "dialgebra": FreeCarrier(_pointed_words, dias_term),
+    "dendriform": FreeCarrier(_dend_terms, _dend_term_mul),
+    "zinbiel": FreeCarrier(_words, _named("dot", _zinb_dot)),
+    "leibniz": FreeCarrier(_words, _named("bracket", _leib_term)),
+}
 
 
 # ---------------------------------------------------------------------------

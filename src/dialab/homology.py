@@ -42,9 +42,9 @@ from .errors import (
     UnsupportedTheoryForSource,
 )
 from .finalg import FiniteAlgebra
-from .freealg import DendTerm, PointedWord, Word, apply_perm_to_tuple, \
+from .freealg import PointedWord, Word, apply_perm_to_tuple, \
     leibniz_to_dialgebra
-from .lincomb import Lin, accumulate
+from .lincomb import Lin, accumulate, image_pairs
 from .linalg import rank_of_columns
 from .trees import (
     LEFT,
@@ -434,27 +434,29 @@ def _compositions(total, parts):
 
 
 class _WordProducts(dict):
-    """One product of free words on word ids: (id a, id b) -> ((id c,
+    """One product of a free algebra on word ids: (id a, id b) -> ((id c,
     coefficient), ...), each entry computed from the word objects on first
     use."""
 
-    def __init__(self, mul, words, ids):
+    def __init__(self, product, op, words, ids):
         super().__init__()
-        self._mul, self._words, self._ids = mul, words, ids
+        self._product, self._op = product, op
+        self._words, self._ids = words, ids
 
     def __missing__(self, ab):
         a, b = ab
         pairs = self[ab] = tuple(
-            (self._ids[c], k) for c, k in self._mul(self._words[a],
-                                                      self._words[b]))
+            (self._ids[c], k) for c, k in image_pairs(self._product(
+                self._words[a], self._words[b], self._op)))
         return pairs
 
 
 class FreePiece(ChainComplex):
     """The weight-w piece of the chain complex of the free algebra on
-    dim_v generators (free dialgebra for CY, free dendriform algebra for
-    CDend): terms (x; w_1..w_n) with x in X_n and words w_i whose lengths
-    sum to w, ordered by x and then by the words.
+    dim_v generators, freealg.FREE of the theory's algebra kind (free
+    dialgebra for CY, free dendriform algebra for CDend): terms
+    (x; w_1..w_n) with x in X_n and words w_i whose lengths sum to w,
+    ordered by x and then by the words.
 
     The words of lengths 1..w are numbered once, in their sort order, and
     passed to ChainComplex as its decode list, so terms are keyed by tuples of
@@ -479,13 +481,15 @@ class FreePiece(ChainComplex):
             raise DegreeOutOfRange(
                 "free pieces need dim_v >= 1 and weight >= 1, got dim_v=%d, "
                 "weight=%d" % (dim_v, weight))
-        words_of, muls, source = _FREE[theory]
+        kind = _THEORY_KIND[theory]
+        carrier = freealg.FREE[kind]
         letters = ["x%d" % (i + 1) for i in range(dim_v)]
         # the sort key of a word starts with its length, so the ids of each
         # length form a range
         words, by_length = [], [()]
         for l in range(1, weight + 1):
-            block = sorted(words_of(letters, l), key=lambda w: w.sort_key())
+            block = sorted(carrier.basis(letters, l),
+                           key=lambda w: w.sort_key())
             by_length.append(range(len(words), len(words) + len(block)))
             words += block
         index = _INDEX_SETS[theory]
@@ -498,10 +502,10 @@ class FreePiece(ChainComplex):
             terms[n] = [(x, e) for x in index.points(n) for e in entries]
         super().__init__(theory, terms, index, {}, words=words,
                          label="%s(free %s dim V=%d), weight %d"
-                               % (theory, source, dim_v, weight))
-        for sym, mul in muls.items():
+                               % (theory, kind, dim_v, weight))
+        for sym in index.symbols:
             self._products[sym] = _WordProducts(
-                mul, words, self._word_ids).__getitem__
+                carrier.product, sym, words, self._word_ids).__getitem__
         self.dim_v = dim_v
         self.weight = weight
         self._multilinear = None
@@ -512,40 +516,6 @@ class FreePiece(ChainComplex):
         if self._multilinear is None:
             self._multilinear = FreePiece(self.theory, 1, self.weight)
         return self.dim_v ** self.weight * self._multilinear.rank(n)
-
-
-def _pointed_words(letters, length):
-    for ltrs in itertools.product(letters, repeat=length):
-        for p in range(length):
-            yield PointedWord(ltrs, p)
-
-
-def _dend_terms(letters, length):
-    for t in enumerate_trees(length):
-        for ltrs in itertools.product(letters, repeat=length):
-            yield DendTerm(t, ltrs)
-
-
-def _dias_product(side):
-    return lambda a, b: ((freealg.dias_term(a, b, side), 1),)
-
-
-def _dend_product(op):
-    # free dendriform products have integer coefficients
-    return lambda a, b: freealg.dend_mul(
-        Lin.term(a), Lin.term(b), op).data.items()
-
-
-# per theory: the words of a given length, the products by face symbol and
-# the name of the free algebra
-_FREE = {
-    "CY": (_pointed_words,
-           {side: _dias_product(side) for side in (LEFT, RIGHT)},
-           "dialgebra"),
-    "CDend": (_dend_terms,
-              {op: _dend_product(op) for op in _INDEX_SETS["CDend"].symbols},
-              "dendriform"),
-}
 
 
 def build_cy_free(dim_v, weight) -> ChainComplex:

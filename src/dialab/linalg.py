@@ -149,10 +149,6 @@ def row_space_basis(rows):
     return basis
 
 
-def same_row_space(rows_a, rows_b):
-    return row_space_basis(rows_a) == row_space_basis(rows_b)
-
-
 def _kernel(reduced, pivots, ncols):
     """Kernel basis of the first ncols columns of a reduced echelon form
     with no pivot beyond them: one vector per free column."""

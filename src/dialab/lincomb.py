@@ -38,6 +38,12 @@ def accumulate(acc, items, scale=1):
     return acc
 
 
+def json_coeff(c):
+    """An exact coefficient as a JSON cell: the int, or the string "p/q"."""
+    return int(c) if c.denominator == 1 else "%d/%d" % (c.numerator,
+                                                        c.denominator)
+
+
 def _key(term):
     k = getattr(term, "sort_key", None)
     if k is not None:
@@ -120,7 +126,7 @@ class Lin:
         """Linear extension of a basis-level map `term -> Lin | term | None`."""
         acc = {}
         for t, c in self.data.items():
-            accumulate(acc, _image(fn(t)), c)
+            accumulate(acc, image_pairs(fn(t)), c)
         return Lin.wrap(acc)
 
     def support(self):
@@ -144,7 +150,7 @@ class Lin:
         return " ".join(parts)
 
 
-def _image(img):
+def image_pairs(img):
     """The (term, coefficient) pairs of a basis-level image
     `Lin | term | None`."""
     if img is None:
@@ -161,7 +167,8 @@ def bilinear(fn):
         acc = {}
         for s, cs in a.data.items():
             for t, ct in b.data.items():
-                accumulate(acc, _image(fn(s, t, *args, **kwargs)), cs * ct)
+                accumulate(acc, image_pairs(fn(s, t, *args, **kwargs)),
+                           cs * ct)
         return Lin.wrap(acc)
 
     return lifted

@@ -9,7 +9,9 @@ coordinates (s, a, b) with g = number of generating binary operations:
 reading the two operation symbols left to right.  Relations with the
 variables in a fixed order are all this library needs, so the dualization
 pairing is the signed diagonal form (+1 on the s=1 block, -1 on the s=2
-block) and the dual data is the annihilator of the relation span.
+block) and the dual data is the annihilator of the relation span.  The
+presets dias, dend and as are built from the rows of finalg.RELATIONS, the
+one place where the relations of each algebra kind are written.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from .errors import (
     SlotOutOfRange,
     UnknownPreset,
 )
+from .finalg import PRODUCTS, RELATIONS
 from .freealg import eval_tree_monomial
-from .lincomb import Lin
-from .linalg import nullspace, row_space_basis, same_row_space
+from .lincomb import Lin, json_coeff
+from .linalg import nullspace, row_space_basis
 from .trees import Tree, catalan, enumerate_trees, mirror, nested_subtrees
 
 
@@ -71,20 +74,16 @@ class QuadraticData:
         return tuple(v)
 
     def spans_same_space(self, other) -> bool:
-        return (
-            self.n_generators == other.n_generators
-            and same_row_space(
-                [list(r) for r in self.relations],
-                [list(r) for r in other.relations])
-        )
+        """The relations are the reduced echelon basis of their span, which
+        the span determines, so equal spans store equal relations."""
+        return (self.n_generators == other.n_generators
+                and self.relations == other.relations)
 
     def to_json_dict(self):
-        def cell(c):
-            return int(c) if c.denominator == 1 else "%d/%d" % (
-                c.numerator, c.denominator)
         return {
             "generators": list(self.generators),
-            "relations": [[cell(c) for c in r] for r in self.relations],
+            "relations": [[json_coeff(c) for c in r]
+                          for r in self.relations],
         }
 
     @classmethod
@@ -103,38 +102,28 @@ class QuadraticData:
             self.n_generators, self.n_relations)
 
 
+# preset name -> (algebra kind, generator labels in the order of its
+# products)
+_PRESETS = {
+    "dias": ("dialgebra", ["l", "r"]),
+    "dend": ("dendriform", ["l", "r"]),
+    "as": ("associative", ["m"]),
+}
+
+
 def preset_quadratic(name: str) -> QuadraticData:
     """The three relation presets used throughout: two-product associative
     (dias: 5 relations), its dual pair of half-products (dend: 3), and the
-    one-operation associative case (as: 1)."""
-    if name == "dias":
-        q = QuadraticData(["l", "r"], [])
-        L, R = "l", "r"
-        rel = [
-            q.vector([(1, 2, L, L), (-1, 1, L, R)]),   # (x<y)<z = x<(y>z)
-            q.vector([(1, 2, L, L), (-1, 1, L, L)]),   # (x<y)<z = x<(y<z)
-            q.vector([(1, 2, R, L), (-1, 1, R, L)]),   # (x>y)<z = x>(y<z)
-            q.vector([(1, 2, L, R), (-1, 1, R, R)]),   # (x<y)>z = x>(y>z)
-            q.vector([(1, 2, R, R), (-1, 1, R, R)]),   # (x>y)>z = x>(y>z)
-        ]
-        return QuadraticData(["l", "r"], rel)
-    if name == "dend":
-        q = QuadraticData(["l", "r"], [])
-        L, R = "l", "r"
-        rel = [
-            # (i)  (a<b)<c = a<(b<c) + a<(b>c)
-            q.vector([(1, 2, L, L), (-1, 1, L, L), (-1, 1, L, R)]),
-            # (ii) (a>b)<c = a>(b<c)
-            q.vector([(1, 2, R, L), (-1, 1, R, L)]),
-            # (iii) (a<b)>c + (a>b)>c = a>(b>c)
-            q.vector([(1, 2, L, R), (1, 2, R, R), (-1, 1, R, R)]),
-        ]
-        return QuadraticData(["l", "r"], rel)
-    if name == "as":
-        q = QuadraticData(["m"], [])
-        rel = [q.vector([(1, 2, "m", "m"), (-1, 1, "m", "m")])]
-        return QuadraticData(["m"], rel)
-    raise UnknownPreset("unknown preset %r" % (name,))
+    one-operation associative case (as: 1), read off finalg.RELATIONS."""
+    if name not in _PRESETS:
+        raise UnknownPreset("unknown preset %r" % (name,))
+    kind, labels = _PRESETS[name]
+    ops = PRODUCTS[kind]
+    q = QuadraticData(labels, [])
+    return QuadraticData(labels, [
+        q.vector((c, s, ops.index(a), ops.index(b))
+                 for c, s, a, b, _ in monomials)
+        for monomials in RELATIONS[kind].values()])
 
 
 def quadratic_dual(q: QuadraticData) -> QuadraticData:
@@ -143,14 +132,7 @@ def quadratic_dual(q: QuadraticData) -> QuadraticData:
     dim = q.ambient_dim
     sign = [Fraction(1)] * (g * g) + [Fraction(-1)] * (g * g)
     rows = [[r[j] * sign[j] for j in range(dim)] for r in q.relations]
-    if not rows:
-        basis = [
-            tuple(Fraction(1) if j == i else Fraction(0) for j in range(dim))
-            for i in range(dim)
-        ]
-    else:
-        basis = nullspace(rows, dim)
-    return QuadraticData(q.generators, basis)
+    return QuadraticData(q.generators, nullspace(rows, dim))
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,28 @@ def test_koszul_dual_cli(capsys):
     assert len(doc["relations"]) == 3
 
 
+# koszul-dual --json outputs: dias and dend are each other's duals, and as
+# is self-dual
+_DIAS = ('{"generators": ["l", "r"], "relations": [[1, 0, 0, 0, -1, 0, 0, 0], '
+         '[0, 1, 0, 0, -1, 0, 0, 0], [0, 0, 1, 0, 0, 0, -1, 0], '
+         '[0, 0, 0, 1, 0, 0, 0, -1], [0, 0, 0, 0, 0, 1, 0, -1]]}')
+_DEND = ('{"generators": ["l", "r"], "relations": [[1, 1, 0, 0, -1, 0, 0, 0], '
+         '[0, 0, 1, 0, 0, 0, -1, 0], [0, 0, 0, 1, 0, -1, 0, -1]]}')
+_AS = '{"generators": ["m"], "relations": [[1, -1]]}'
+
+
+@pytest.mark.parametrize("preset, dual, dual_of_dual", [
+    ("dias", _DEND, _DIAS), ("dend", _DIAS, _DEND), ("as", _AS, _AS)])
+def test_koszul_dual_json_is_pinned(capsys, tmp_path, preset, dual,
+                                    dual_of_dual):
+    code, out = run_cli(capsys, "koszul-dual", "--preset", preset, "--json")
+    assert code == 0 and out == dual + "\n"
+    path = tmp_path / "dual.json"
+    path.write_text(out, encoding="utf-8")
+    code, out = run_cli(capsys, "koszul-dual", "--file", str(path), "--json")
+    assert code == 0 and out == dual_of_dual + "\n"
+
+
 def test_compose_cli(capsys):
     code, out = run_cli(capsys, "compose", "--outer", "[2,1]", "--pos", "1",
                         "--inner", "[2,1]", "--json")

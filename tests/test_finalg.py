@@ -7,6 +7,7 @@ import pytest
 from dialab.errors import AxiomFailure, TooLarge, UnknownFixture
 from dialab.finalg import (
     FIXTURES,
+    PRODUCTS,
     FiniteAlgebra,
     as_dialgebra,
     associativization,
@@ -14,6 +15,7 @@ from dialab.finalg import (
     check_axioms,
     differential_dialgebra,
     fixture,
+    group_algebra,
     leibnizification,
     matrix_dialgebra,
     opposite,
@@ -47,6 +49,55 @@ def test_broken_algebra_reports_witness():
     assert ("1", (0, 0, 0)) in report
     # the two one-sided associativities hold
     assert all(axiom not in ("2", "5") for axiom, _ in report)
+
+
+def _perturbed(alg, cells):
+    """alg with 1 added to the coefficient of e_t in e_i prod e_j, for each
+    cell (prod, i, j, t)."""
+    tables = {p: [[list(vec) for vec in row] for row in tab]
+              for p, tab in alg.tables.items()}
+    for prod, i, j, t in cells:
+        tables[prod][i][j][t] += 1
+    return FiniteAlgebra(alg.kind, alg.basis, tables, check=False)
+
+
+def _b_squared_is_a(kind):
+    """The algebra on a, b whose every product has b o b = a and is 0 on
+    the other basis pairs."""
+    zero = (0, 0)
+    return FiniteAlgebra(kind, ["a", "b"], {
+        prod: [[zero, zero], [zero, (1, 0)]] for prod in PRODUCTS[kind]})
+
+
+# one perturbed table per kind and its witness list; the Leibniz and
+# Zinbiel lists change when the x z y monomial of their relation is read
+# as x y z
+@pytest.mark.parametrize("base, cells, witnesses", [
+    (lambda: fixture("monoid_algebra"),
+     [("left", 0, 1, 0), ("right", 1, 0, 1)],
+     [("1", (0, 1, 0)), ("1", (0, 1, 1)), ("1", (1, 1, 0)), ("1", (1, 1, 1)),
+      ("2", (0, 0, 1)), ("2", (0, 1, 1)), ("2", (1, 0, 1)), ("2", (1, 1, 1)),
+      ("3", (1, 0, 1)), ("3", (1, 1, 1)),
+      ("4", (0, 1, 0)), ("4", (0, 1, 1)), ("4", (1, 1, 0)), ("4", (1, 1, 1)),
+      ("5", (1, 0, 0)), ("5", (1, 0, 1)), ("5", (1, 1, 0)),
+      ("5", (1, 1, 1))]),
+    (lambda: _b_squared_is_a("dendriform"),
+     [("prec", 0, 0, 0), ("succ", 0, 0, 0)],
+     [("i", (0, 0, 0)), ("i", (0, 1, 1)), ("i", (1, 1, 0)),
+      ("ii", (0, 1, 1)), ("ii", (1, 1, 0)),
+      ("iii", (0, 0, 0)), ("iii", (0, 1, 1)), ("iii", (1, 1, 0))]),
+    (lambda: _b_squared_is_a("leibniz"), [("bracket", 1, 0, 1)],
+     [("leibniz", (1, 0, 1)), ("leibniz", (1, 1, 0)),
+      ("leibniz", (1, 1, 1))]),
+    (lambda: _b_squared_is_a("zinbiel"), [("dot", 1, 0, 1)],
+     [("zinbiel", (1, 0, 0)), ("zinbiel", (1, 1, 0)),
+      ("zinbiel", (1, 1, 1))]),
+    (lambda: group_algebra(2), [("mul", 0, 0, 0)],
+     [("assoc", (0, 0, 1)), ("assoc", (0, 1, 1)), ("assoc", (1, 0, 0)),
+      ("assoc", (1, 1, 0))]),
+], ids=["dialgebra", "dendriform", "leibniz", "zinbiel", "associative"])
+def test_perturbed_table_witnesses(base, cells, witnesses):
+    assert check_axioms(_perturbed(base(), cells)) == witnesses
 
 
 def test_construction_fails_fast_unless_deferred():
