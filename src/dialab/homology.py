@@ -141,20 +141,27 @@ class ChainComplex:
 
     summed over the face pairs (i, j) of degree n.  Degrees run 1..n_max and
     `terms[n]` is the ordered basis in degree n.  `index` is an IndexSet;
-    `products[symbol]` sends a pair (a, b) of basis ids of A to the pairs
-    (c, coefficient) of  D * mu(a, b).  On the adjacent pairs (i, i+1) the
-    sign is (-1)^(i+1), and the differential is the alternating sum of the
-    faces: this is CY, CS, CDend and CZinb.  CL runs over every pair i < j
-    with the bracket.
+    `products[symbol]` sends the packed pair a * B + b of basis ids of A to
+    the pairs (c, coefficient) of  D * mu(a, b).  On the adjacent pairs
+    (i, i+1) the sign is (-1)^(i+1), and the differential is the alternating
+    sum of the faces: this is CY, CS, CDend and CZinb.  CL runs over every
+    pair i < j with the bracket.
 
-    The term (x; a_1..a_n) is keyed (position of x in X_n, (id a_1..id a_n))
-    by plain ints.  A finite source numbers its basis 0..dim-1 and its terms
-    carry these numbers already.  A free piece numbers its words and passes
-    them as `words`, the decode list: its terms carry the word objects, which
-    are encoded to ids by `_key` and decoded by `_term`, so only `diff`,
-    `diff_lin`, `face` and `matrix` ever meet the objects.  The first
-    differential asked of degree n gives X_n integer tables: one row
-    (i, j, position of face_i x in X_{n-1}, product, sign) per face pair.
+    Every term is keyed by one int, its code: with B = `radix` ids of A,
+    (x; a_1..a_n) has the code  pos(x) * B^n + sum_k a_k * B^(n-k),  where
+    pos(x) is the position of x in X_n (0 for the bare CL and CZinb terms)
+    and a_k the id of entry k.  A finite source numbers its basis 0..dim-1,
+    B = dim, and its terms are ordered by x and then in `itertools.product`
+    order, so the code of a term *is* its position in terms[n].  A free
+    piece numbers its words and passes them as `words`, the decode list,
+    with B = len(words); its codes are sparse and rows are found through a
+    {code: position} map.  `_key` encodes a term and `_term` decodes a code,
+    so only `diff`, `diff_lin`, `face` and `verify_d_squared`'s message
+    ever meet the term objects; the faces, the d^2 check and the assembly
+    of columns run on codes.  The first differential asked of degree n
+    gives X_n integer tables: per point x and face pair (i, j), the code
+    offset of face_i x, the powers of B that cut a code into head, a_i,
+    middle, a_j and tail, the product and the sign.
 
     Finite structure constants are stored as integer numerators over one
     common denominator D (`scale`), the lcm of all their denominators; free
@@ -167,12 +174,13 @@ class ChainComplex:
     `matrix` divide by D.
     """
 
-    def __init__(self, theory, terms, index, products, scale=1, label="",
-                 words=None):
+    def __init__(self, theory, terms, index, products, radix, scale=1,
+                 label="", words=None):
         self.theory = theory
         self.terms = {n: tuple(ts) for n, ts in terms.items()}
         self.label = label
         self.scale = scale
+        self.radix = radix
         self._ix = index
         self._products = products
         self._words = words
@@ -180,7 +188,7 @@ class ChainComplex:
                           {w: i for i, w in enumerate(words)})
         self._points = {}
         self._faces = {}
-        self._last_keys = None, None
+        self._last_codes = None, None
         self._columns_cache = {}
         self._matrix_cache = {}
         self._rank_cache = {}
@@ -201,28 +209,42 @@ class ChainComplex:
         return X
 
     def _key(self, n, term):
+        """The code of a degree-n term."""
         if self._ix.bare:
-            return 0, term
-        x, entries = term
+            code, entries = 0, term
+        else:
+            x, entries = term
+            code = self._points_of(n)[1][x]
         if self._word_ids is not None:
-            entries = tuple(map(self._word_ids.__getitem__, entries))
-        return self._points_of(n)[1][x], entries
+            entries = map(self._word_ids.__getitem__, entries)
+        radix = self.radix
+        for a in entries:
+            code = code * radix + a
+        return code
 
-    def _keys(self, n):
-        """The keys of terms[n], in basis order.  Degree n is the columns of
-        d_n and the rows of d_{n+1}; keeping the last degree asked lets an
-        ascending sweep encode each basis once without holding them all."""
-        if self._last_keys[0] != n:
-            self._last_keys = n, [self._key(n, t)
-                                  for t in self.terms.get(n, ())]
-        return self._last_keys[1]
-
-    def _term(self, n, key):
-        j, entries = key
-        if self._words is not None:
-            entries = tuple(map(self._words.__getitem__, entries))
-        return entries if self._ix.bare else (self._points_of(n)[0][j],
+    def _term(self, n, code):
+        """The degree-n term of a code."""
+        if self._words is None:
+            return self.terms[n][code]
+        radix, words = self.radix, self._words
+        entries = [None] * n
+        for k in range(n - 1, -1, -1):
+            code, a = divmod(code, radix)
+            entries[k] = words[a]
+        entries = tuple(entries)
+        return entries if self._ix.bare else (self._points_of(n)[0][code],
                                               entries)
+
+    def _codes(self, n):
+        """The codes of terms[n], in basis order.  Degree n is the columns
+        of d_n and the rows of d_{n+1}; keeping the last degree asked lets an
+        ascending sweep encode each basis once without holding them all."""
+        if self._words is None:
+            return range(self.dim(n))
+        if self._last_codes[0] != n:
+            self._last_codes = n, [self._key(n, t)
+                                   for t in self.terms.get(n, ())]
+        return self._last_codes[1]
 
     def _lin(self, n, image):
         """The Lin over degree-n terms of an encoded image of D * d."""
@@ -232,31 +254,40 @@ class ChainComplex:
             for k, c in image.items()})
 
     def _face_table(self, n):
-        """Per point x of X_n: (i, j, position of face_i x, product, sign)
-        for each face pair (i, j) of degree n."""
+        """B^n and, per point x of X_n, the row (code offset of face_i x,
+        B^(n-j), B^(j-i+1), B^(n-i), B^(n-1-i), split, product, sign) of
+        each face pair (i, j) of degree n, in the order of `pairs(n)`;
+        split is B^(j-i) for a pair with a middle, 0 for an adjacent one."""
         table = self._faces.get(n)
         if table is None:
-            ix, products = self._ix, self._products
+            ix, products, B = self._ix, self._products, self.radix
             pos = self._points_of(n - 1)[1] if n > 1 else {}
             pairs = ix.pairs(n)
-            table = self._faces[n] = [
-                tuple((i, j, pos[ix.face(x, i)], products[ix.symbol(x, i)],
-                       -1 if j % 2 else 1) for i, j in pairs)
+            table = self._faces[n] = B ** n, [
+                tuple((pos[ix.face(x, i)] * B ** (n - 1), B ** (n - j),
+                       B ** (j - i + 1), B ** (n - i), B ** (n - 1 - i),
+                       B ** (j - i) if j > i + 1 else 0,
+                       products[ix.symbol(x, i)], -1 if j % 2 else 1)
+                      for i, j in pairs)
                 for x in self._points_of(n)[0]]
         return table
 
-    def _idiff(self, n, key):
-        """D * d of one encoded term, as a {key: coefficient} dict."""
-        x, e = key
-        return _apply_faces(e, self._face_table(n)[x])
+    def _idiff(self, n, code):
+        """D * d of one encoded term, as a {code: coefficient} dict."""
+        power, rows = self._face_table(n)
+        x, e = divmod(code, power)
+        return accumulate({}, _apply_faces(e, rows[x], self.radix))
 
     def face(self, n, term, i):
         """The face (i, i+1) of one degree-n basis term, as a Lin over
         degree n-1 terms (without the sign of d)."""
-        x, e = self._key(n, term)
-        return self._lin(n - 1, _apply_faces(
-            e, [row[:4] + (1,) for row in self._face_table(n)[x]
-                if row[:2] == (i, i + 1)]))
+        if not 1 <= i < n:
+            raise IndexOutOfRange("face %d not in 1..%d" % (i, n - 1))
+        power, rows = self._face_table(n)
+        x, e = divmod(self._key(n, term), power)
+        row = rows[x][self._ix.pairs(n).index((i, i + 1))]
+        return self._lin(n - 1, accumulate(
+            {}, _apply_faces(e, [row[:-1] + (1,)], self.radix)))
 
     def diff(self, n, term):
         return self._lin(n - 1, self._idiff(n, self._key(n, term)))
@@ -281,16 +312,19 @@ class ChainComplex:
         return mat
 
     def _columns(self, n):
-        """Sparse columns of D * d_n, assembled on the first call."""
+        """Sparse columns of D * d_n, assembled on the first call.  For a
+        finite source the codes are the row numbers already."""
         cols = self._columns_cache.get(n)
         if cols is not None:
             return cols
         if n <= 1 or not self.terms.get(n):
             cols = [{} for _ in self.terms.get(n, ())]
+        elif self._words is None:
+            cols = [self._idiff(n, code) for code in range(self.dim(n))]
         else:
-            rows = {k: i for i, k in enumerate(self._keys(n - 1))}
-            cols = [{rows[k]: c for k, c in self._idiff(n, key).items()}
-                    for key in self._keys(n)]
+            rows = {k: i for i, k in enumerate(self._codes(n - 1))}
+            cols = [{rows[k]: c for k, c in self._idiff(n, code).items()}
+                    for code in self._codes(n)]
         self._columns_cache[n] = cols
         return cols
 
@@ -301,16 +335,16 @@ class ChainComplex:
             if n < 2 or (n - 1) not in self.terms:
                 continue
             memo = {}
-            for t in self.terms[n]:
+            for code in self._codes(n):
                 acc = {}
-                for u, c in self._idiff(n, self._key(n, t)).items():
+                for u, c in self._idiff(n, code).items():
                     du = memo.get(u)
                     if du is None:
                         du = memo[u] = self._idiff(n - 1, u)
                     accumulate(acc, du.items(), c)
                 if acc:
-                    raise AssertionError(
-                        "d^2 != 0 at degree %d on %r" % (n, t))
+                    raise AssertionError("d^2 != 0 at degree %d on %r"
+                                         % (n, self._term(n, code)))
         return True
 
     def rank(self, n):
@@ -333,18 +367,24 @@ class ChainComplex:
         return {n: self.betti(n) for n in range(1, up_to + 1)}
 
 
-def _apply_faces(e, rows):
-    """sign * (face position; e with mu(e_i, e_j) in slot i and slot j
-    deleted), summed over the face rows (i, j, face position, product,
-    sign), as a {key: coefficient} dict."""
-    acc = {}
-    for i, j, fx, mul, sign in rows:
-        pairs = mul((e[i - 1], e[j - 1]))
-        if pairs:
-            head, tail = e[:i - 1], e[i:j - 1] + e[j:]
-            accumulate(
-                acc, (((fx, head + (b,) + tail), c) for b, c in pairs), sign)
-    return acc
+def _apply_faces(e, rows, radix):
+    """The (code, coefficient) pairs of sign * (face position; e with
+    mu(e_i, e_j) in slot i and slot j deleted) over the face rows of
+    `_face_table`, on the entry part e of a code.  The face (i, j) cuts e
+    into head, a_i, middle, a_j and tail (the middle is empty for an
+    adjacent pair) and gives, per product output c, the code
+    offset + head * B^(n-i) + c * B^(n-1-i) + middle * B^(n-j) + tail."""
+    for offset, tail_w, block_w, head_w, c_w, split, mul, sign in rows:
+        hi, tail = divmod(e, tail_w)
+        head, ab = divmod(hi, block_w)
+        base = offset + head * head_w + tail
+        if split:
+            a, rest = divmod(ab, split)
+            middle, b = divmod(rest, radix)
+            ab = a * radix + b
+            base += middle * tail_w
+        for c, k in mul(ab):
+            yield base + c * c_w, sign * k
 
 
 # ---------------------------------------------------------------------------
@@ -370,23 +410,24 @@ def _product_vector(alg, symbol, a, b):
 
 def _finite(theory, alg, n_max):
     index = _INDEX_SETS[theory]
+    # the product of (a, b) sits at a * dim + b, the packed pair
     pairs = list(itertools.product(range(alg.dim), repeat=2))
-    vectors = {sym: {ab: _product_vector(alg, sym, *ab) for ab in pairs}
+    vectors = {sym: [_product_vector(alg, sym, *ab) for ab in pairs]
                for sym in index.symbols}
-    scale = lcm(*(c.denominator for tab in vectors.values()
-                  for vec in tab.values() for c in vec))
+    scale = lcm(*(c.denominator for vecs in vectors.values()
+                  for vec in vecs for c in vec))
     products = {
-        sym: {ab: tuple((b, c.numerator * (scale // c.denominator))
-                        for b, c in enumerate(vec) if c)
-              for ab, vec in tab.items()}.__getitem__
-        for sym, tab in vectors.items()
+        sym: tuple(tuple((b, c.numerator * (scale // c.denominator))
+                         for b, c in enumerate(vec) if c)
+                   for vec in vecs).__getitem__
+        for sym, vecs in vectors.items()
     }
     terms = {
         n: list(_tuples(alg.dim, n)) if index.bare else
         [(x, e) for x in index.points(n) for e in _tuples(alg.dim, n)]
         for n in range(1, n_max + 1)
     }
-    return ChainComplex(theory, terms, index, products, scale,
+    return ChainComplex(theory, terms, index, products, alg.dim, scale,
                         label="%s(%s)" % (theory, alg.name))
 
 
@@ -434,9 +475,9 @@ def _compositions(total, parts):
 
 
 class _WordProducts(dict):
-    """One product of a free algebra on word ids: (id a, id b) -> ((id c,
-    coefficient), ...), each entry computed from the word objects on first
-    use."""
+    """One product of a free algebra on word ids: the packed pair
+    id a * len(words) + id b -> ((id c, coefficient), ...), each entry
+    computed from the word objects on first use."""
 
     def __init__(self, product, op, words, ids):
         super().__init__()
@@ -444,7 +485,7 @@ class _WordProducts(dict):
         self._words, self._ids = words, ids
 
     def __missing__(self, ab):
-        a, b = ab
+        a, b = divmod(ab, len(self._words))
         pairs = self[ab] = tuple(
             (self._ids[c], k) for c, k in image_pairs(self._product(
                 self._words[a], self._words[b], self._op)))
@@ -459,10 +500,13 @@ class FreePiece(ChainComplex):
     ordered by x and then by the words.
 
     The words of lengths 1..w are numbered once, in their sort order, and
-    passed to ChainComplex as its decode list, so terms are keyed by tuples of
-    word ids and sorting the id tuples sorts the terms.  Each product of
-    the free algebra becomes an int table (id a, id b) -> ((id c,
-    coefficient), ...) that fills on first use.
+    passed to ChainComplex as its decode list, so B = len(words) and a term
+    is keyed by the code  pos(x) * B^n + sum_k (id w_k) * B^(n-k).  Codes
+    sort as the terms do but are sparse: most id tuples are not words of
+    total length w, so rows are found through a {code: position} map of
+    one degree at a time.  Each product of the free algebra becomes an int
+    table (id a) * B + (id b) -> ((id c, coefficient), ...) that fills on
+    first use.
 
     Ranks go through the multilinear piece.  A face merges two neighbouring
     words by a product that concatenates their letters and never reorders
@@ -500,7 +544,7 @@ class FreePiece(ChainComplex):
                                 *(by_length[l] for l in comp)))
             entries = [tuple(map(words.__getitem__, c)) for c in combos]
             terms[n] = [(x, e) for x in index.points(n) for e in entries]
-        super().__init__(theory, terms, index, {}, words=words,
+        super().__init__(theory, terms, index, {}, len(words), words=words,
                          label="%s(free %s dim V=%d), weight %d"
                                % (theory, kind, dim_v, weight))
         for sym in index.symbols:

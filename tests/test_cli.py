@@ -175,11 +175,15 @@ _MALFORMED_ALGEBRAS = {
     pytest.param("koszul-dual", "not json", None, id="koszul-dual-not-json"),
     pytest.param("koszul-dual", '{"generators": ["m"]}', None,
                  id="koszul-dual-no-relations"),
-    pytest.param("homology", fixture("field").to_json(), "abc",
+    # a well-formed algebra, built when the test runs so that a fixture
+    # failing its axioms fails this case and not the module's collection
+    pytest.param("homology", lambda: fixture("field").to_json(), "abc",
                  id="homology-max-dim-abc"),
 ])
 def test_malformed_input_is_a_domain_error(command, text, max_dim, tmp_path,
                                            monkeypatch, capsys):
+    if callable(text):
+        text = text()
     if max_dim is not None:
         monkeypatch.setenv("DIALAB_MAX_DIM", max_dim)
     path = tmp_path / "input.json"

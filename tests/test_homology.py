@@ -2,11 +2,12 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from dialab.errors import UnsupportedTheoryForSource
+from dialab.errors import IndexOutOfRange, UnsupportedTheoryForSource
 from dialab.finalg import FiniteAlgebra, bar_units, fixture, leibnizification
 from dialab.freealg import DendTerm, PointedWord, dend_mul, dias_term
 from dialab.homology import (
@@ -176,25 +177,49 @@ def test_faced_kernel_matches_reference_differential(theory, name, params):
                 assert cx.diff(n, t) == _reference_diff(theory, alg, n, t)
 
 
+def _perturbed(alg, product, i, j, t, delta):
+    """alg with delta added to the e_t coefficient of e_i * e_j, unchecked."""
+    tables = {p: [[list(v) for v in row] for row in tab]
+              for p, tab in alg.tables.items()}
+    tables[product][i][j][t] += delta
+    return FiniteAlgebra(alg.kind, alg.basis, tables, check=False)
+
+
+def _assert_names_a_witness(cx, message):
+    """A failed d^2 check must print one decoded basis term of the complex,
+    not its int code, and d^2 of that term must be nonzero."""
+    n = int(re.match(r"d\^2 != 0 at degree (\d+) on ", message).group(1))
+    named = [t for t in cx.terms[n]
+             if message == "d^2 != 0 at degree %d on %r" % (n, t)]
+    assert len(named) == 1, message
+    assert cx.diff_lin(n - 1, cx.diff(n, named[0]))
+
+
 def test_d_squared_check_catches_a_perturbed_rational_table():
     lam = [Fraction(2), Fraction(-1, 3), Fraction(3, 2)]
     good = _rescaled(fixture("diff_algebra"), lam)
-    tables = {p: [[list(v) for v in row] for row in tab]
-              for p, tab in good.tables.items()}
-    tables["left"][1][2][0] += Fraction(1, 7)
-    bad = FiniteAlgebra("dialgebra", good.basis, tables, check=False)
     good_leib = leibnizification(good)
-    bracket = [[list(v) for v in row] for row in good_leib.tables["bracket"]]
-    bracket[1][2][0] += Fraction(1, 7)
-    bad_leib = FiniteAlgebra("leibniz", good.basis, {"bracket": bracket},
-                             check=False)
-    for theory, ok, broken in (("CY", good, bad), ("CS", good, bad),
-                               ("CL", good_leib, bad_leib)):
+    good_dend = _rescaled(
+        fixture("truncated_free_dendriform", dim_v=1, maxdeg=2), lam)
+    good_zinb = _rescaled(
+        fixture("truncated_free_zinbiel", dim_v=1, maxdeg=3), lam)
+    bad = _perturbed(good, "left", 1, 2, 0, Fraction(1, 7))
+    cases = [
+        ("CY", good, bad), ("CS", good, bad),
+        ("CL", good_leib,
+         _perturbed(good_leib, "bracket", 1, 2, 0, Fraction(1, 7))),
+        ("CDend", good_dend,
+         _perturbed(good_dend, "prec", 0, 0, 0, Fraction(1, 7))),
+        ("CZinb", good_zinb,
+         _perturbed(good_zinb, "dot", 0, 0, 0, Fraction(1, 7))),
+    ]
+    for theory, ok, broken in cases:
         build_complex(theory, ok, 3).verify_d_squared()
         cx = build_complex(theory, broken, 3)
         assert cx.scale > 1
-        with pytest.raises(AssertionError, match="d\\^2 != 0"):
+        with pytest.raises(AssertionError, match="d\\^2 != 0") as err:
             cx.verify_d_squared()
+        _assert_names_a_witness(cx, str(err.value))
 
 
 @pytest.mark.parametrize("name", ["tensor_square", "vector_dialgebra"])
@@ -270,6 +295,13 @@ def test_free_piece_terms_come_back_as_words(theory):
                     assert all(type(w) is word_type for w in words)
 
 
+@pytest.mark.parametrize("build", [build_cy_free, build_cdend_free])
+def test_free_pieces_square_to_zero(build):
+    for dim_v in (1, 2):
+        for weight in range(1, 6):
+            assert build(dim_v, weight).verify_d_squared()
+
+
 def test_theory_source_mismatch():
     with pytest.raises(UnsupportedTheoryForSource):
         build_complex("CY", fixture("truncated_free_zinbiel"), 3)
@@ -328,6 +360,9 @@ def test_simplicial_face_relations_on_chains():
                         for t, c in cx.face(n, term, i).data.items():
                             rhs = rhs + c * cx.face(n - 1, t, j - 1)
                         assert lhs == rhs
+    for i in (0, 4):
+        with pytest.raises(IndexOutOfRange):
+            cx.face(4, cx.terms[4][0], i)
 
 
 def test_simplicial_face_relations_on_cdend_chains():
