@@ -20,15 +20,17 @@ one common denominator, or a weight-homogeneous piece of a free algebra
 generator letters); either way the differential, the d^2 check and the
 ranks run on integers.
 
-Betti numbers come from exact ranks over the rationals.  The module also
-houses the contracting homotopy of the free-dialgebra complex, the
-degeneracies supplied by a bar-unit, and the comparison chain maps between
-the theories.
+Betti numbers come from exact ranks over the rationals, taken in one
+ascending sweep that leaves out the rows d o d = 0 already decides
+(`ChainComplex.rank`).  The module also houses the contracting homotopy of
+the free-dialgebra complex, the degeneracies supplied by a bar-unit, and the
+comparison chain maps between the theories.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from fractions import Fraction
 from math import lcm
 from typing import Callable, NamedTuple
@@ -45,7 +47,8 @@ from .finalg import FiniteAlgebra
 from .freealg import PointedWord, Word, apply_perm_to_tuple, \
     leibniz_to_dialgebra
 from .lincomb import Lin, accumulate, image_pairs
-from .linalg import rank_of_columns
+from .linalg import Echelon
+from .linalg import rank_of_columns  # noqa: F401  bench/tracing.py wraps it
 from .trees import (
     LEFT,
     RIGHT,
@@ -169,9 +172,9 @@ class ChainComplex:
     product, so the stored differential is exactly D * d.  Hence
     (D d)^2 = D^2 d^2 vanishes exactly when d^2 does and rank(D d) = rank d:
     the d^2 check and `rank` run in integers on the sparse columns of D * d,
-    assembled once per degree, and stay exact for rational structure
-    constants, not only integral ones.  `diff`, `diff_lin`, `face` and
-    `matrix` divide by D.
+    which the rank sweep assembles once per degree and drops, and stay
+    exact for rational structure constants, not only integral ones.
+    `diff`, `diff_lin`, `face` and `matrix` divide by D.
     """
 
     def __init__(self, theory, terms, index, products, radix, scale=1,
@@ -192,6 +195,7 @@ class ChainComplex:
         self._columns_cache = {}
         self._matrix_cache = {}
         self._rank_cache = {}
+        self._sweep = 1, frozenset()
 
     @property
     def n_max(self):
@@ -299,8 +303,10 @@ class ChainComplex:
         return self._lin(n - 1, acc)
 
     def matrix(self, n):
-        """Sparse columns of d_n : C_n -> C_{n-1}."""
-        cols = self._columns(n)
+        """Sparse columns of d_n : C_n -> C_{n-1}, assembled once and kept."""
+        cols = self._columns_cache.get(n)
+        if cols is None:
+            cols = self._columns_cache[n] = list(self._assembled(n))
         scale = self.scale
         if scale == 1:
             return cols
@@ -311,22 +317,20 @@ class ChainComplex:
                 for col in cols]
         return mat
 
-    def _columns(self, n):
-        """Sparse columns of D * d_n, assembled on the first call.  For a
-        finite source the codes are the row numbers already."""
+    def _assembled(self, n):
+        """The sparse columns of D * d_n in basis order: the list `matrix`
+        keeps, or else each column as it is computed.  For a finite source
+        the codes are the row numbers already."""
         cols = self._columns_cache.get(n)
         if cols is not None:
             return cols
         if n <= 1 or not self.terms.get(n):
-            cols = [{} for _ in self.terms.get(n, ())]
-        elif self._words is None:
-            cols = [self._idiff(n, code) for code in range(self.dim(n))]
-        else:
-            rows = {k: i for i, k in enumerate(self._codes(n - 1))}
-            cols = [{rows[k]: c for k, c in self._idiff(n, code).items()}
-                    for code in self._codes(n)]
-        self._columns_cache[n] = cols
-        return cols
+            return ({} for _ in self.terms.get(n, ()))
+        if self._words is None:
+            return (self._idiff(n, code) for code in range(self.dim(n)))
+        rows = {k: i for i, k in enumerate(self._codes(n - 1))}
+        return ({rows[k]: c for k, c in self._idiff(n, code).items()}
+                for code in self._codes(n))
 
     def verify_d_squared(self):
         """Check d o d = 0 exactly on every basis term; (D * d)^2 is
@@ -348,17 +352,48 @@ class ChainComplex:
         return True
 
     def rank(self, n):
+        """rank d_n, exactly, from one ascending sweep with clearing.
+
+        Eliminate the rows of d_m, as vectors over C_m, and let Q_m be the
+        leading indices (the least index of each echelon row).  A row
+        combination y d_m led by q in Q_m has  y d_m d_{m+1} = 0  when
+        d o d = 0, so row q of d_{m+1} is a combination of the rows of
+        d_{m+1} with a larger index; by descending induction on q, the rows
+        outside Q_m span the row space of d_{m+1}.  Hence rank d_{m+1} is
+        the rank of those rows alone, and in an acyclic degree no row is
+        reduced to zero.  The lemma holds over Q, so also for the integer
+        D * d.  The sweep ranks every uncached degree 2..n in order,
+        starting from Q_1 = {} (d_1 = 0); it keeps each rank and only the
+        last Q_m, and it drops each transposed d_m once ranked, so only
+        `matrix` keeps columns.
+
+        The precondition d o d = 0 holds for the free pieces and for every
+        axiom-checked finite source (`verify_d_squared` certifies it); a
+        table built with check=False that is no algebra of its kind gets no
+        guarantee.
+        """
         if n not in self.terms or n <= 1:
             return 0
-        r = self._rank_cache.get(n)
-        if r is None:
-            r = self._rank_cache[n] = rank_of_columns(
-                self._columns(n), nrows=self.dim(n - 1))
-        return r
+        m, cleared = self._sweep
+        while n not in self._rank_cache:
+            m += 1
+            rows = defaultdict(dict)
+            for j, col in enumerate(self._assembled(m)):
+                for i, c in col.items():
+                    if i not in cleared:
+                        rows[i][j] = c
+            ech = Echelon(rows.pop(i) for i in sorted(rows))
+            self._rank_cache[m] = ech.rank
+            cleared = frozenset(ech.leads)
+        self._sweep = m, cleared
+        return self._rank_cache[n]
 
     def betti(self, n):
-        """dim H_n; requires degree n+1 to be part of the complex (or n to
-        be the top degree of a complex that is zero above)."""
+        """dim H_n = dim C_n - rank d_n - rank d_{n+1}; requires degree n+1
+        to be part of the complex (or n to be the top degree of a complex
+        that is zero above).  The ranks come from the sweep of `rank`, so
+        the number is exact when d o d = 0, the precondition stated
+        there."""
         if n not in self.terms:
             return 0
         return self.dim(n) - self.rank(n) - self.rank(n + 1)

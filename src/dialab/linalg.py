@@ -7,7 +7,13 @@ is fraction-free, which changes nothing about the row space, so ranks and
 membership tests never touch a Fraction; `reduced()` back-substitutes once
 and gives the reduced row echelon form, which a row space determines
 uniquely.  Ranks, row spaces, kernels, affine solutions and the factored
-[A | I] solver are all read off it.  The dense helpers (rref, row spaces,
+[A | I] solver are all read off it.  Its `leads`, the least index of each
+echelon row, depend only on the row space; the ranks of a chain complex
+use them for clearing: when d_n d_{n+1} = 0, each lead q of the rows of
+d_n marks a row q of d_{n+1} that lies in the span of its rows of larger
+index, so `homology.ChainComplex.rank` leaves those rows out of the
+elimination of d_{n+1}.  The lemma needs d o d = 0; `rank_of_columns`
+ranks any matrix on its own.  The dense helpers (rref, row spaces,
 nullspace, solve_affine) take and return dense Fraction rows for the small
 systems of halos, ideals and quadratic duals.
 """
@@ -80,6 +86,11 @@ class Echelon:
     @property
     def rank(self):
         return len(self._pivots)
+
+    @property
+    def leads(self):
+        """The leading indices of the echelon rows, one per unit of rank."""
+        return self._pivots.keys()
 
     def reduced(self):
         """(rows, pivots): the reduced row echelon form, as sparse Fraction
