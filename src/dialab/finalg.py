@@ -32,7 +32,7 @@ from .errors import (
     TooLarge,
     UnknownFixture,
 )
-from .lincomb import accumulate, image_pairs, json_coeff
+from .lincomb import accumulate, from_json_cell, image_pairs, json_coeff
 from .linalg import Echelon, in_row_space, solve_affine
 from . import freealg
 from .trees import enumerate_trees  # noqa: F401  bench/tracing.py wraps it
@@ -165,7 +165,7 @@ class FiniteAlgebra:
         try:
             doc = json.loads(text)
             tables = {
-                prod: [[[Fraction(str(c)) for c in vec] for vec in row]
+                prod: [[[from_json_cell(c) for c in vec] for vec in row]
                        for row in tab]
                 for prod, tab in doc["tables"].items()
             }

@@ -29,7 +29,9 @@ comparison chain maps between the theories.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
 from math import lcm
@@ -156,12 +158,12 @@ class ChainComplex:
     and a_k the id of entry k.  A finite source numbers its basis 0..dim-1,
     B = dim, and its terms are ordered by x and then in `itertools.product`
     order, so the code of a term *is* its position in terms[n].  A free
-    piece numbers its words and passes them as `words`, the decode list,
-    with B = len(words); its codes are sparse and rows are found through a
-    {code: position} map.  `_key` encodes a term and `_term` decodes a code,
-    so only `diff`, `diff_lin`, `face` and `verify_d_squared`'s message
-    ever meet the term objects; the faces, the d^2 check and the assembly
-    of columns run on codes.  The first differential asked of degree n
+    piece (FreePiece) numbers its words, B = len(words); its codes are
+    sparse and rows are found through a {code: position} map.  `_coder(n)`
+    gives the functions that encode a degree-n term and decode a code, so
+    only `diff`, `diff_lin`, `face` and `verify_d_squared`'s message ever
+    meet the term objects; the faces, the d^2 check and the assembly of
+    columns run on codes.  The first differential asked of degree n
     gives X_n integer tables: per point x and face pair (i, j), the code
     offset of face_i x, the powers of B that cut a code into head, a_i,
     middle, a_j and tail, the product and the sign.
@@ -178,7 +180,7 @@ class ChainComplex:
     """
 
     def __init__(self, theory, terms, index, products, radix, scale=1,
-                 label="", words=None):
+                 label=""):
         self.theory = theory
         self.terms = {n: tuple(ts) for n, ts in terms.items()}
         self.label = label
@@ -186,12 +188,9 @@ class ChainComplex:
         self.radix = radix
         self._ix = index
         self._products = products
-        self._words = words
-        self._word_ids = (None if words is None else
-                          {w: i for i, w in enumerate(words)})
         self._points = {}
         self._faces = {}
-        self._last_codes = None, None
+        self._coders = {}
         self._columns_cache = {}
         self._matrix_cache = {}
         self._rank_cache = {}
@@ -212,49 +211,42 @@ class ChainComplex:
             X = self._points[n] = pts, {x: j for j, x in enumerate(pts)}
         return X
 
+    def _coder(self, n):
+        """The pair (encode, decode) of degree n: term -> code, code -> term;
+        a finite source's code is the basis position."""
+        coder = self._coders.get(n)
+        if coder is None:
+            pos, radix, bare = self._points_of(n)[1], self.radix, self._ix.bare
+
+            def encode(term):
+                code, entries = (0, term) if bare else (pos[term[0]], term[1])
+                for a in entries:
+                    code = code * radix + a
+                return code
+
+            coder = self._coders[n] = encode, self.terms[n].__getitem__
+        return coder
+
     def _key(self, n, term):
         """The code of a degree-n term."""
-        if self._ix.bare:
-            code, entries = 0, term
-        else:
-            x, entries = term
-            code = self._points_of(n)[1][x]
-        if self._word_ids is not None:
-            entries = map(self._word_ids.__getitem__, entries)
-        radix = self.radix
-        for a in entries:
-            code = code * radix + a
-        return code
+        return self._coder(n)[0](term)
 
     def _term(self, n, code):
         """The degree-n term of a code."""
-        if self._words is None:
-            return self.terms[n][code]
-        radix, words = self.radix, self._words
-        entries = [None] * n
-        for k in range(n - 1, -1, -1):
-            code, a = divmod(code, radix)
-            entries[k] = words[a]
-        entries = tuple(entries)
-        return entries if self._ix.bare else (self._points_of(n)[0][code],
-                                              entries)
+        return self._coder(n)[1](code)
 
     def _codes(self, n):
-        """The codes of terms[n], in basis order.  Degree n is the columns
-        of d_n and the rows of d_{n+1}; keeping the last degree asked lets an
-        ascending sweep encode each basis once without holding them all."""
-        if self._words is None:
-            return range(self.dim(n))
-        if self._last_codes[0] != n:
-            self._last_codes = n, [self._key(n, t)
-                                   for t in self.terms.get(n, ())]
-        return self._last_codes[1]
+        """The codes of terms[n], in basis order: a range, since a finite
+        source's codes are the basis positions."""
+        return range(self.dim(n))
 
     def _lin(self, n, image):
         """The Lin over degree-n terms of an encoded image of D * d."""
-        scale = self.scale
+        if not image:
+            return Lin()
+        scale, decode = self.scale, self._coder(n)[1]
         return Lin.wrap({
-            self._term(n, k): c if scale == 1 else Fraction(c, scale)
+            decode(k): c if scale == 1 else Fraction(c, scale)
             for k, c in image.items()})
 
     def _face_table(self, n):
@@ -297,9 +289,15 @@ class ChainComplex:
         return self._lin(n - 1, self._idiff(n, self._key(n, term)))
 
     def diff_lin(self, n, x: Lin) -> Lin:
-        acc = {}
+        """d of a Lin over degree-n terms, summed in one pass; the zero Lin
+        goes to zero without the face table of degree n."""
+        if not x.data:
+            return Lin()
+        power, rows = self._face_table(n)
+        encode, radix, acc = self._coder(n)[0], self.radix, {}
         for t, c in x.data.items():
-            accumulate(acc, self._idiff(n, self._key(n, t)).items(), c)
+            p, e = divmod(encode(t), power)
+            accumulate(acc, _apply_faces(e, rows[p], radix), c)
         return self._lin(n - 1, acc)
 
     def matrix(self, n):
@@ -326,9 +324,10 @@ class ChainComplex:
             return cols
         if n <= 1 or not self.terms.get(n):
             return ({} for _ in self.terms.get(n, ()))
-        if self._words is None:
-            return (self._idiff(n, code) for code in range(self.dim(n)))
-        rows = {k: i for i, k in enumerate(self._codes(n - 1))}
+        rows = self._codes(n - 1)
+        if isinstance(rows, range):
+            return (self._idiff(n, code) for code in self._codes(n))
+        rows = {k: i for i, k in enumerate(rows)}
         return ({rows[k]: c for k, c in self._idiff(n, code).items()}
                 for code in self._codes(n))
 
@@ -534,12 +533,16 @@ class FreePiece(ChainComplex):
     (x; w_1..w_n) with x in X_n and words w_i whose lengths sum to w,
     ordered by x and then by the words.
 
-    The words of lengths 1..w are numbered once, in their sort order, and
-    passed to ChainComplex as its decode list, so B = len(words) and a term
-    is keyed by the code  pos(x) * B^n + sum_k (id w_k) * B^(n-k).  Codes
-    sort as the terms do but are sparse: most id tuples are not words of
-    total length w, so rows are found through a {code: position} map of
-    one degree at a time.  Each product of the free algebra becomes an int
+    The words of lengths 1..w are numbered once, in their sort order, so
+    B = len(words) and a term is keyed by the code
+    pos(x) * B^n + sum_k (id w_k) * B^(n-k),  the second part being the
+    entry code of its entry tuple.  Codes sort as the terms do but are
+    sparse: most id tuples are not words of total length w, so rows are
+    found through a {code: position} map of one degree at a time.  The
+    entry tuples of a degree are few next to its terms (a factor |X_n|
+    fewer), so a map {entries: entry code} per degree makes encoding one
+    lookup, and the ascending list of entry codes decodes a code to the
+    basis term itself.  Each product of the free algebra becomes an int
     table (id a) * B + (id b) -> ((id c, coefficient), ...) that fills on
     first use.
 
@@ -572,22 +575,71 @@ class FreePiece(ChainComplex):
             by_length.append(range(len(words), len(words) + len(block)))
             words += block
         index = _INDEX_SETS[theory]
-        terms = {}
+        terms, self._entries = {}, {}
         for n in range(1, weight + 1):
             combos = sorted(combo for comp in _compositions(weight, n)
                             for combo in itertools.product(
                                 *(by_length[l] for l in comp)))
-            entries = [tuple(map(words.__getitem__, c)) for c in combos]
+            entries = self._entries[n] = [tuple(map(words.__getitem__, c))
+                                          for c in combos]
             terms[n] = [(x, e) for x in index.points(n) for e in entries]
-        super().__init__(theory, terms, index, {}, len(words), words=words,
+        super().__init__(theory, terms, index, {}, len(words),
                          label="%s(free %s dim V=%d), weight %d"
                                % (theory, kind, dim_v, weight))
+        self._word_ids = {w: i for i, w in enumerate(words)}
         for sym in index.symbols:
             self._products[sym] = _WordProducts(
                 carrier.product, sym, words, self._word_ids).__getitem__
+        self._last_codes = None, None
         self.dim_v = dim_v
         self.weight = weight
         self._multilinear = None
+
+    def _entry_codes(self, n):
+        """The entry codes of the entry tuples of degree n, in basis order,
+        which is ascending: the code of (x; e) is pos(x) * B^n plus the
+        entry code of e."""
+        ids, radix, out = self._word_ids, self.radix, []
+        for e in self._entries[n]:
+            code = 0
+            for w in e:
+                code = code * radix + ids[w]
+            out.append(code)
+        return out
+
+    def _coder(self, n):
+        """Encode through a map {entries: entry code} of degree n; decode by
+        bisecting the ascending entry codes, which gives terms[n]'s own
+        objects.  Both are built on the first use of the degree."""
+        coder = self._coders.get(n)
+        if coder is None:
+            ascending, power = self._entry_codes(n), self.radix ** n
+            codes = dict(zip(self._entries[n], ascending))
+            pos, terms, size = self._points_of(n)[1], self.terms[n], len(codes)
+
+            def encode(term):
+                return pos[term[0]] * power + codes[term[1]]
+
+            def decode(code):
+                p, e = divmod(code, power)
+                return terms[p * size + bisect_left(ascending, e)]
+
+            coder = self._coders[n] = encode, decode
+        return coder
+
+    def _codes(self, n):
+        """The codes of terms[n], in basis order.  Degree n is the columns
+        of d_n and the rows of d_{n+1}; keeping the last degree asked lets an
+        ascending sweep list each basis once without holding them all."""
+        if self._last_codes[0] != n:
+            codes = []
+            if n in self._entries:
+                power, entry_codes = self.radix ** n, self._entry_codes(n)
+                codes = [p * power + e
+                         for p in range(len(self._points_of(n)[0]))
+                         for e in entry_codes]
+            self._last_codes = n, codes
+        return self._last_codes[1]
 
     def rank(self, n):
         if self.dim_v == 1:
@@ -675,16 +727,68 @@ def cy_degeneracy(term, i, unit_vec):
 # contracting homotopy of the free-dialgebra complex
 # ---------------------------------------------------------------------------
 
-def _drop_last(word: PointedWord, repoint):
-    """Remove the last letter; repoint=True moves the mark to the new last
-    letter (used when the mark sat on the dropped letter)."""
-    letters = word.letters[:-1]
-    if repoint:
-        return PointedWord(letters, len(letters) - 1)
-    return PointedWord(letters, word.pointer)
+@functools.lru_cache(maxsize=None)
+def _trees_named(n):
+    """{name: tree} over the trees of degree n, the objects enumerate_trees
+    lists, so that later lookups meet them by identity."""
+    return {y.name: y for y in enumerate_trees(n)}
 
 
-def homotopy_free_dialgebra(term_or_lin, n=None) -> Lin:
+@functools.lru_cache(maxsize=None)
+def _tree_moves(y):
+    """The trees the homotopy can send a degree-n tree y to, and whether it
+    ends in a cherry: (s_n y, p_n y, s_{n-1} y, p_{n-1} y, cherry), with
+    p_{n-1} y = None for n = 1."""
+    n = y.degree
+    named = _trees_named(n + 1)
+    return (named[bifurcate(y, n).name],
+            named[insert_parallel_leaf(y, n).name],
+            named[bifurcate(y, n - 1).name],
+            named[insert_parallel_leaf(y, n - 1).name] if n > 1 else None,
+            ends_in_cherry(y))
+
+
+def _peel(word):
+    """(word minus its last letter u, repointed to its new last letter when
+    the mark sat on u, or None for a single letter; u^; whether the mark
+    sat on u)."""
+    letters = word.letters
+    last = len(letters) - 1
+    if not last:  # a single letter is u^ itself
+        return None, word, True
+    on_last = word.pointer == last
+    return (PointedWord(letters[:-1], last - 1 if on_last else word.pointer),
+            PointedWord(letters[-1:], 0), on_last)
+
+
+def _homotopy_pairs(x: Lin):
+    """The (term, coefficient) pairs of h on the terms of x, read off the
+    tree table `_tree_moves` and the word peel `_peel`."""
+    for term, c in x.data.items():
+        y, entries = term
+        n = y.degree
+        if n % 2 == 0:
+            c = -c
+        s_n, p_n, s_prev, p_prev, cherry = _tree_moves(y)
+        rest, u, on_last = _peel(entries[-1])
+        if rest is not None:  # (a), (b)
+            yield (p_n if on_last else s_n, entries[:-1] + (rest, u)), c
+            continue
+        if cherry:  # (c)
+            continue
+        if n < 2:
+            raise CaseDispatchFailure("degree-1 term with a single letter "
+                                      "and no cherry: %r" % (term,))
+        rest, v, on_last = _peel(entries[-2])
+        if rest is None:  # (f)
+            continue
+        # (d), (e); the last entry is u^ itself
+        rest = entries[:-2] + (rest, v, entries[-1])
+        yield (p_n, rest), c
+        yield (p_prev if on_last else s_prev, rest), -c
+
+
+def homotopy_free_dialgebra(term_or_lin) -> Lin:
     """Contracting homotopy h_n : CY_n -> CY_{n+1} of the free complex.
 
     Dispatch on the last entries of x = (y; w_1..w_n):
@@ -703,50 +807,24 @@ def homotopy_free_dialgebra(term_or_lin, n=None) -> Lin:
 
     Here s_j bifurcates leaf j and p_j adds a parallel leaf left of leaf j.
     The overall sign (-1)^(n+1) makes  d h + h d = id  hold in every degree
-    n >= 2 of every weight piece through weight 4 (checked exactly by the
-    test suite, for one and two generators).
+    n >= 2 of every weight piece through weight 4, for one, two and three
+    generators (checked exactly by the test suite).  The dispatch reads the
+    trees of y from a table per tree and peels the last letters off the
+    words, and it sums the images of a Lin in one pass.
 
     Validity boundary: the dispatch peels at most one letter away from the
     last two entries, so on terms with two or more trailing bare pointed
     letters whose tree ends parallel but with the second-to-last leaf
     attached below the top of the right seam (first reachable at weight 5,
     e.g. ([3,1,2,4]; x^, x^ x, x^, x^)) the identity needs longer
-    corrections than any two-tree case can provide; `betti` certifies the
-    vanishing exactly at those weights instead.
+    corrections than any two-tree case can provide.  On one generator the
+    identity fails on 2 basis terms at weight 5 and 20 at weight 6, on two
+    generators on 64 at weight 5; `betti` certifies the vanishing exactly at
+    those weights instead.
     """
-    if isinstance(term_or_lin, Lin):
-        return term_or_lin.map_terms(homotopy_free_dialgebra)
-
-    y, entries = term_or_lin
-    n = y.degree
-    sign = (-1) ** (n + 1)
-    w_last = entries[-1]
-    u = PointedWord(w_last.letters[-1:], 0)
-
-    if len(w_last) >= 2:
-        if w_last.pointer != len(w_last) - 1:  # (a)
-            rest = entries[:-1] + (_drop_last(w_last, False), u)
-            return Lin.term((bifurcate(y, n), rest), sign)
-        rest = entries[:-1] + (_drop_last(w_last, True), u)  # (b)
-        return Lin.term((insert_parallel_leaf(y, n), rest), sign)
-
-    if ends_in_cherry(y):  # (c)
-        return Lin.zero()
-    if n < 2:
-        raise CaseDispatchFailure("degree-1 term with a single letter "
-                                  "and no cherry: %r" % (term_or_lin,))
-    w_prev = entries[-2]
-    if len(w_prev) == 1:  # (f)
-        return Lin.zero()
-    v = PointedWord(w_prev.letters[-1:], 0)
-    if w_prev.pointer != len(w_prev) - 1:  # (d)
-        rest = entries[:-2] + (_drop_last(w_prev, False), v, u)
-        second = bifurcate(y, n - 1)
-    else:  # (e)
-        rest = entries[:-2] + (_drop_last(w_prev, True), v, u)
-        second = insert_parallel_leaf(y, n - 1)
-    first = insert_parallel_leaf(y, n)
-    return Lin.term((first, rest), sign) + Lin.term((second, rest), -sign)
+    if not isinstance(term_or_lin, Lin):
+        term_or_lin = Lin.term(term_or_lin)
+    return Lin.wrap(accumulate({}, _homotopy_pairs(term_or_lin)))
 
 
 def contraction_by_elimination(cx: ChainComplex, n_top=None):

@@ -44,6 +44,16 @@ def json_coeff(c):
                                                         c.denominator)
 
 
+def from_json_cell(c):
+    """The exact coefficient of a JSON cell: an int, or a string such as
+    "p/q".  A float or a bool is refused with TypeError: a float need not be
+    the number its text shows, and a bool is no coefficient."""
+    if isinstance(c, bool) or not isinstance(c, (int, str)):
+        raise TypeError("a cell is an int or a \"p/q\" string, got %r"
+                        % (c,))
+    return Fraction(c)
+
+
 def _key(term):
     k = getattr(term, "sort_key", None)
     if k is not None:

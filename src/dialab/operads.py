@@ -27,7 +27,7 @@ from .errors import (
 )
 from .finalg import PRODUCTS, RELATIONS
 from .freealg import eval_tree_monomial
-from .lincomb import Lin, json_coeff
+from .lincomb import Lin, from_json_cell, json_coeff
 from .linalg import nullspace, row_space_basis
 from .trees import Tree, catalan, enumerate_trees, mirror, nested_subtrees
 
@@ -90,7 +90,7 @@ class QuadraticData:
     def from_json_dict(cls, doc):
         try:
             generators = list(doc["generators"])
-            relations = [[Fraction(str(c)) for c in r]
+            relations = [[from_json_cell(c) for c in r]
                          for r in doc["relations"]]
         except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
             raise MalformedInput("not a quadratic-data document: %s: %s" % (

@@ -164,6 +164,13 @@ _MALFORMED_ALGEBRAS = {
     "basis-string": json.dumps({"kind": "dialgebra", "basis": "1",
                                 "tables": {"left": [[[1]]],
                                            "right": [[[1]]]}}),
+    # cells are exact: an int or a "p/q" string, never a float or a bool
+    "cell-float": json.dumps({"kind": "dialgebra", "basis": ["1"],
+                              "tables": {"left": [[[1.0]]],
+                                         "right": [[[1]]]}}),
+    "cell-bool": json.dumps({"kind": "dialgebra", "basis": ["1"],
+                             "tables": {"left": [[[True]]],
+                                        "right": [[[1]]]}}),
 }
 
 
@@ -175,6 +182,12 @@ _MALFORMED_ALGEBRAS = {
     pytest.param("koszul-dual", "not json", None, id="koszul-dual-not-json"),
     pytest.param("koszul-dual", '{"generators": ["m"]}', None,
                  id="koszul-dual-no-relations"),
+    pytest.param("koszul-dual",
+                 '{"generators": ["m"], "relations": [[1, -0.5]]}', None,
+                 id="koszul-dual-cell-float"),
+    pytest.param("koszul-dual",
+                 '{"generators": ["m"], "relations": [[1, true]]}', None,
+                 id="koszul-dual-cell-bool"),
     # a well-formed algebra, built when the test runs so that a fixture
     # failing its axioms fails this case and not the module's collection
     pytest.param("homology", lambda: fixture("field").to_json(), "abc",

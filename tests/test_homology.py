@@ -7,7 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from dialab.errors import IndexOutOfRange, UnsupportedTheoryForSource
+from dialab.errors import (
+    CaseDispatchFailure,
+    IndexOutOfRange,
+    UnsupportedTheoryForSource,
+)
 from dialab.finalg import FiniteAlgebra, bar_units, fixture, leibnizification
 from dialab.freealg import DendTerm, PointedWord, dend_mul, dias_term
 from dialab.homology import (
@@ -32,9 +36,12 @@ from dialab.lincomb import Lin
 from dialab.trees import (
     Tree,
     all_permutations,
+    bifurcate,
     catalan,
+    ends_in_cherry,
     enumerate_trees,
     face,
+    insert_parallel_leaf,
     parse_name,
     parse_permutation,
     perm_face,
@@ -175,6 +182,44 @@ def test_faced_kernel_matches_reference_differential(theory, name, params):
         for n in range(1, 5):
             for t in cx.terms[n]:
                 assert cx.diff(n, t) == _reference_diff(theory, alg, n, t)
+
+
+def _assert_diff_lin_is_linear(cx):
+    """diff_lin(n, sum c t) == sum c diff(n, t) over each whole basis, for
+    int and for Fraction coefficients; past the top degree the zero Lin
+    goes to zero without a face table."""
+    for n in range(1, cx.n_max + 1):
+        terms = cx.terms[n]
+        for coeffs in ([k % 5 - 2 for k in range(len(terms))],
+                       [Fraction(k % 7 - 3, k % 4 + 1)
+                        for k in range(len(terms))]):
+            expected = Lin((u, c * a) for t, c in zip(terms, coeffs)
+                           for u, a in cx.diff(n, t).data.items())
+            assert cx.diff_lin(n, Lin(zip(terms, coeffs))) == expected
+    top = cx.n_max + 1
+    assert cx.diff_lin(top, Lin()) == Lin()
+    assert top not in cx._faces
+
+
+@pytest.mark.parametrize("theory,name,params", KERNEL_SOURCES)
+def test_diff_lin_is_linear_over_a_common_denominator(theory, name, params):
+    cx = build_complex(theory, _rescaled(fixture(name, **params), _LAM), 4)
+    assert cx.scale > 1
+    _assert_diff_lin_is_linear(cx)
+
+
+@pytest.mark.parametrize("build", [build_cy_free, build_cdend_free])
+def test_free_piece_diff_lin_and_codes(build):
+    # codes come from the per-degree entry codes, and decoding hands back
+    # the basis terms themselves, not equal copies
+    for dim_v, weight in ((1, 5), (2, 4)):
+        cx = build(dim_v, weight)
+        _assert_diff_lin_is_linear(cx)
+        for n in range(1, weight + 1):
+            codes = cx._codes(n)
+            assert codes == [cx._key(n, t) for t in cx.terms[n]]
+            for code, t in zip(codes, cx.terms[n]):
+                assert cx._term(n, code) is t
 
 
 def _perturbed(alg, product, i, j, t, delta):
@@ -557,17 +602,87 @@ def test_ranks_through_the_multilinear_piece(theory, dim_v, weights):
                 cx.matrix(n), nrows=cx.dim(n - 1))
 
 
+def _homotopy_residuals(cx):
+    """The basis terms x of degrees 2..top of a free CY piece with
+    d h x + h d x != x."""
+    out = []
+    for n in range(2, cx.n_max + 1):
+        for term in cx.terms[n]:
+            x = Lin.term(term)
+            dhx = cx.diff_lin(n + 1, homotopy_free_dialgebra(x))
+            hdx = homotopy_free_dialgebra(cx.diff_lin(n, x))
+            if dhx + hdx != x:
+                out.append(term)
+    return out
+
+
 def test_contracting_homotopy_identity_matrixwise():
-    for dim_v in (1, 2):
+    for dim_v in (1, 2, 3):
         for weight in range(2, 5):
-            cx = build_cy_free(dim_v, weight)
-            for n in range(2, weight + 1):
-                for term in cx.terms[n]:
-                    ht = homotopy_free_dialgebra(Lin.term(term))
-                    dht = cx.diff_lin(n + 1, ht)
-                    hdt = homotopy_free_dialgebra(
-                        cx.diff_lin(n, Lin.term(term)))
-                    assert dht + hdt == Lin.term(term)
+            assert _homotopy_residuals(build_cy_free(dim_v, weight)) == []
+
+
+@pytest.mark.parametrize("dim_v,weight,count", [
+    (1, 5, 2), (1, 6, 20), (2, 5, 64)])
+def test_homotopy_residuals_at_the_validity_boundary(dim_v, weight, count):
+    # the number of basis terms where the five-case identity first fails
+    assert len(_homotopy_residuals(build_cy_free(dim_v, weight))) == count
+
+
+def _drop_last(word, repoint):
+    letters = word.letters[:-1]
+    if repoint:
+        return PointedWord(letters, len(letters) - 1)
+    return PointedWord(letters, word.pointer)
+
+
+def _reference_homotopy(term):
+    """The five-case dispatch on one term, written on the tree and word
+    objects: the reference for the table-driven operator."""
+    y, entries = term
+    n = y.degree
+    sign = (-1) ** (n + 1)
+    w_last = entries[-1]
+    u = PointedWord(w_last.letters[-1:], 0)
+    if len(w_last) >= 2:
+        if w_last.pointer != len(w_last) - 1:  # (a)
+            rest = entries[:-1] + (_drop_last(w_last, False), u)
+            return Lin.term((bifurcate(y, n), rest), sign)
+        rest = entries[:-1] + (_drop_last(w_last, True), u)  # (b)
+        return Lin.term((insert_parallel_leaf(y, n), rest), sign)
+    if ends_in_cherry(y):  # (c)
+        return Lin()
+    if n < 2:
+        raise CaseDispatchFailure(term)
+    w_prev = entries[-2]
+    if len(w_prev) == 1:  # (f)
+        return Lin()
+    v = PointedWord(w_prev.letters[-1:], 0)
+    if w_prev.pointer != len(w_prev) - 1:  # (d)
+        rest = entries[:-2] + (_drop_last(w_prev, False), v, u)
+        second = bifurcate(y, n - 1)
+    else:  # (e)
+        rest = entries[:-2] + (_drop_last(w_prev, True), v, u)
+        second = insert_parallel_leaf(y, n - 1)
+    first = insert_parallel_leaf(y, n)
+    return Lin.term((first, rest), sign) + Lin.term((second, rest), -sign)
+
+
+@pytest.mark.parametrize("dim_v,max_weight", [(1, 5), (2, 5), (3, 4)])
+def test_homotopy_matches_the_object_level_dispatch(dim_v, max_weight):
+    # on every basis term, and on each whole basis summed with signed
+    # coefficients, so that images meeting in the one-pass sum cancel
+    for weight in range(1, max_weight + 1):
+        cx = build_cy_free(dim_v, weight)
+        for n in range(1, weight + 1):
+            total, expected = {}, Lin()
+            for k, term in enumerate(cx.terms[n]):
+                ref = _reference_homotopy(term)
+                assert homotopy_free_dialgebra(Lin.term(term)) == ref
+                assert homotopy_free_dialgebra(term) == ref
+                total[term] = (-1) ** k * (k % 3 + 1)
+                expected = expected + total[term] * ref
+            assert homotopy_free_dialgebra(Lin(total)) == expected
 
 
 def test_homotopy_case_values():
@@ -811,14 +926,7 @@ def test_contracting_homotopy_weight_five_boundary():
     # documented boundary of the five-case formula (see the operator's
     # docstring), and the vanishing itself is certified by exact ranks
     cx = build_cy_free(1, 5)
-    residuals = []
-    for n in range(2, 6):
-        for term in cx.terms[n]:
-            ht = homotopy_free_dialgebra(Lin.term(term))
-            dht = cx.diff_lin(n + 1, ht)
-            hdt = homotopy_free_dialgebra(cx.diff_lin(n, Lin.term(term)))
-            if dht + hdt != Lin.term(term):
-                residuals.append(term)
+    residuals = _homotopy_residuals(cx)
     for y, entries in residuals:
         run = 0
         for w in reversed(entries):
