@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from bisect import bisect_left
+import operator
 from collections import defaultdict
 from fractions import Fraction
 from math import lcm
@@ -152,21 +152,30 @@ class ChainComplex:
     sum of the faces: this is CY, CS, CDend and CZinb.  CL runs over every
     pair i < j with the bracket.
 
-    Every term is keyed by one int, its code: with B = `radix` ids of A,
-    (x; a_1..a_n) has the code  pos(x) * B^n + sum_k a_k * B^(n-k),  where
-    pos(x) is the position of x in X_n (0 for the bare CL and CZinb terms)
-    and a_k the id of entry k.  A finite source numbers its basis 0..dim-1,
-    B = dim, and its terms are ordered by x and then in `itertools.product`
-    order, so the code of a term *is* its position in terms[n].  A free
-    piece (FreePiece) numbers its words, B = len(words); its codes are
-    sparse and rows are found through a {code: position} map.  `_coder(n)`
-    gives the functions that encode a degree-n term and decode a code, so
-    only `diff`, `diff_lin`, `face` and `verify_d_squared`'s message ever
-    meet the term objects; the faces, the d^2 check and the assembly of
-    columns run on codes.  The first differential asked of degree n
-    gives X_n integer tables: per point x and face pair (i, j), the code
-    offset of face_i x, the powers of B that cut a code into head, a_i,
-    middle, a_j and tail, the product and the sign.
+    Every term is keyed by one int, its code, which is its position in
+    terms[n].  E_n is the ordered list of entry tuples of degree n, and the
+    terms are ordered by x and then by E_n, so (x; e) has the code
+    pos(x) * |E_n| + pos(e),  where pos(x) is the position of x in X_n (0
+    for the bare CL and CZinb terms).  A face works on the packed entry code
+    sum_k a_k * B^(n-k), with B = `radix` ids of A and a_k the id of entry
+    k: divmod cuts it into head, a_i, middle, a_j and tail, and the product
+    of a_i and a_j gives the packed code of the merged entries.  The source
+    hands over `packing`, a mapping from each degree n to the pair
+    (packed, position): packed[k] is the packed code of the k-th entry tuple
+    and position[p] the position of the packed code p.  A finite source
+    numbers its basis 0..dim-1, B = dim, and lists the entry tuples in
+    `itertools.product` order, so both are the list 0..dim^n - 1 (a list,
+    not a range: indexing it hands back a stored int, which keeps the d^2
+    check as fast as plain codes); a free piece (FreePiece) lists its
+    ascending packed codes and a {packed: position} dict, computed when a
+    degree is first used.  So `_key` is two position lookups and a code
+    decodes by indexing terms[n]; only `diff`, `diff_lin`, `face` and
+    `verify_d_squared`'s message ever meet the term objects, while the faces,
+    the d^2 check and the assembly of columns run on codes.  A term outside
+    the basis raises IndexOutOfRange.  The first differential asked of
+    degree n gives X_n integer tables: per point x and face pair (i, j), the
+    code offset pos(face_i x) * |E_{n-1}|, the powers of B that cut a packed
+    code into head, a_i, middle, a_j and tail, the product and the sign.
 
     Finite structure constants are stored as integer numerators over one
     common denominator D (`scale`), the lcm of all their denominators; free
@@ -179,8 +188,8 @@ class ChainComplex:
     `diff`, `diff_lin`, `face` and `matrix` divide by D.
     """
 
-    def __init__(self, theory, terms, index, products, radix, scale=1,
-                 label=""):
+    def __init__(self, theory, terms, index, products, radix, packing,
+                 scale=1, label=""):
         self.theory = theory
         self.terms = {n: tuple(ts) for n, ts in terms.items()}
         self.label = label
@@ -188,9 +197,10 @@ class ChainComplex:
         self.radix = radix
         self._ix = index
         self._products = products
+        self._packing = packing
         self._points = {}
         self._faces = {}
-        self._coders = {}
+        self._encoders = {}
         self._columns_cache = {}
         self._matrix_cache = {}
         self._rank_cache = {}
@@ -211,79 +221,88 @@ class ChainComplex:
             X = self._points[n] = pts, {x: j for j, x in enumerate(pts)}
         return X
 
-    def _coder(self, n):
-        """The pair (encode, decode) of degree n: term -> code, code -> term;
-        a finite source's code is the basis position."""
-        coder = self._coders.get(n)
-        if coder is None:
-            pos, radix, bare = self._points_of(n)[1], self.radix, self._ix.bare
+    def _require(self, n):
+        if n not in self.terms:
+            raise IndexOutOfRange("degree %d not in 1..%d" % (n, self.n_max))
 
-            def encode(term):
-                code, entries = (0, term) if bare else (pos[term[0]], term[1])
-                for a in entries:
-                    code = code * radix + a
-                return code
-
-            coder = self._coders[n] = encode, self.terms[n].__getitem__
-        return coder
+    def _encoder(self, n):
+        """The positions of X_n and of E_n, and |E_n|; E_n is read off the
+        first |E_n| terms, those of the first point."""
+        enc = self._encoders.get(n)
+        if enc is None:
+            self._require(n)
+            size = len(self._packing[n][0])
+            first = self.terms[n][:size]
+            enc = self._encoders[n] = self._points_of(n)[1], {
+                e if self._ix.bare else e[1]: k
+                for k, e in enumerate(first)}, size
+        return enc
 
     def _key(self, n, term):
-        """The code of a degree-n term."""
-        return self._coder(n)[0](term)
+        """The code of a degree-n basis term, its position in terms[n]."""
+        pos, entries, size = self._encoder(n)
+        try:
+            x, e = (None, term) if self._ix.bare else term
+            return pos[x] * size + entries[e]
+        except (KeyError, TypeError, ValueError):
+            raise IndexOutOfRange("%r is not a basis term of degree %d"
+                                  % (term, n)) from None
 
     def _term(self, n, code):
         """The degree-n term of a code."""
-        return self._coder(n)[1](code)
-
-    def _codes(self, n):
-        """The codes of terms[n], in basis order: a range, since a finite
-        source's codes are the basis positions."""
-        return range(self.dim(n))
+        return self.terms[n][code]
 
     def _lin(self, n, image):
         """The Lin over degree-n terms of an encoded image of D * d."""
         if not image:
             return Lin()
-        scale, decode = self.scale, self._coder(n)[1]
+        scale, terms = self.scale, self.terms[n]
         return Lin.wrap({
-            decode(k): c if scale == 1 else Fraction(c, scale)
+            terms[k]: c if scale == 1 else Fraction(c, scale)
             for k, c in image.items()})
 
     def _face_table(self, n):
-        """B^n and, per point x of X_n, the row (code offset of face_i x,
-        B^(n-j), B^(j-i+1), B^(n-i), B^(n-1-i), split, product, sign) of
-        each face pair (i, j) of degree n, in the order of `pairs(n)`;
-        split is B^(j-i) for a pair with a middle, 0 for an adjacent one."""
+        """|E_n|, the packed codes of E_n, per point x of X_n the row
+        (pos(face_i x) * |E_{n-1}|, B^(n-j), B^(j-i+1), B^(n-i), B^(n-1-i),
+        split, product, sign) of each face pair (i, j) of degree n, in the
+        order of `pairs(n)`, and the positions of the packed codes of
+        E_{n-1}; split is B^(j-i) for a pair with a middle, 0 for an
+        adjacent one."""
         table = self._faces.get(n)
         if table is None:
+            self._require(n)
             ix, products, B = self._ix, self._products, self.radix
+            packed = self._packing[n][0]
+            below, where = self._packing[n - 1] if n > 1 else ((), None)
             pos = self._points_of(n - 1)[1] if n > 1 else {}
             pairs = ix.pairs(n)
-            table = self._faces[n] = B ** n, [
-                tuple((pos[ix.face(x, i)] * B ** (n - 1), B ** (n - j),
+            table = self._faces[n] = len(packed), packed, [
+                tuple((pos[ix.face(x, i)] * len(below), B ** (n - j),
                        B ** (j - i + 1), B ** (n - i), B ** (n - 1 - i),
                        B ** (j - i) if j > i + 1 else 0,
                        products[ix.symbol(x, i)], -1 if j % 2 else 1)
                       for i, j in pairs)
-                for x in self._points_of(n)[0]]
+                for x in self._points_of(n)[0]], where
         return table
 
     def _idiff(self, n, code):
         """D * d of one encoded term, as a {code: coefficient} dict."""
-        power, rows = self._face_table(n)
-        x, e = divmod(code, power)
-        return accumulate({}, _apply_faces(e, rows[x], self.radix))
+        size, packed, rows, where = self._face_table(n)
+        x, e = divmod(code, size)
+        return accumulate({}, _apply_faces(packed[e], rows[x], self.radix,
+                                           where))
 
     def face(self, n, term, i):
         """The face (i, i+1) of one degree-n basis term, as a Lin over
         degree n-1 terms (without the sign of d)."""
         if not 1 <= i < n:
             raise IndexOutOfRange("face %d not in 1..%d" % (i, n - 1))
-        power, rows = self._face_table(n)
-        x, e = divmod(self._key(n, term), power)
+        code = self._key(n, term)
+        size, packed, rows, where = self._face_table(n)
+        x, e = divmod(code, size)
         row = rows[x][self._ix.pairs(n).index((i, i + 1))]
-        return self._lin(n - 1, accumulate(
-            {}, _apply_faces(e, [row[:-1] + (1,)], self.radix)))
+        return self._lin(n - 1, accumulate({}, _apply_faces(
+            packed[e], [row[:-1] + (1,)], self.radix, where)))
 
     def diff(self, n, term):
         return self._lin(n - 1, self._idiff(n, self._key(n, term)))
@@ -293,11 +312,11 @@ class ChainComplex:
         goes to zero without the face table of degree n."""
         if not x.data:
             return Lin()
-        power, rows = self._face_table(n)
-        encode, radix, acc = self._coder(n)[0], self.radix, {}
+        size, packed, rows, where = self._face_table(n)
+        radix, acc = self.radix, {}
         for t, c in x.data.items():
-            p, e = divmod(encode(t), power)
-            accumulate(acc, _apply_faces(e, rows[p], radix), c)
+            p, e = divmod(self._key(n, t), size)
+            accumulate(acc, _apply_faces(packed[e], rows[p], radix, where), c)
         return self._lin(n - 1, acc)
 
     def matrix(self, n):
@@ -317,19 +336,12 @@ class ChainComplex:
 
     def _assembled(self, n):
         """The sparse columns of D * d_n in basis order: the list `matrix`
-        keeps, or else each column as it is computed.  For a finite source
-        the codes are the row numbers already."""
+        keeps, or else each column as it is computed.  A code is the row
+        number already."""
         cols = self._columns_cache.get(n)
         if cols is not None:
             return cols
-        if n <= 1 or not self.terms.get(n):
-            return ({} for _ in self.terms.get(n, ()))
-        rows = self._codes(n - 1)
-        if isinstance(rows, range):
-            return (self._idiff(n, code) for code in self._codes(n))
-        rows = {k: i for i, k in enumerate(rows)}
-        return ({rows[k]: c for k, c in self._idiff(n, code).items()}
-                for code in self._codes(n))
+        return (self._idiff(n, code) for code in range(self.dim(n)))
 
     def verify_d_squared(self):
         """Check d o d = 0 exactly on every basis term; (D * d)^2 is
@@ -338,7 +350,7 @@ class ChainComplex:
             if n < 2 or (n - 1) not in self.terms:
                 continue
             memo = {}
-            for code in self._codes(n):
+            for code in range(self.dim(n)):
                 acc = {}
                 for u, c in self._idiff(n, code).items():
                     du = memo.get(u)
@@ -401,24 +413,25 @@ class ChainComplex:
         return {n: self.betti(n) for n in range(1, up_to + 1)}
 
 
-def _apply_faces(e, rows, radix):
+def _apply_faces(e, rows, radix, where):
     """The (code, coefficient) pairs of sign * (face position; e with
     mu(e_i, e_j) in slot i and slot j deleted) over the face rows of
-    `_face_table`, on the entry part e of a code.  The face (i, j) cuts e
-    into head, a_i, middle, a_j and tail (the middle is empty for an
-    adjacent pair) and gives, per product output c, the code
-    offset + head * B^(n-i) + c * B^(n-1-i) + middle * B^(n-j) + tail."""
+    `_face_table`, on the packed entry code e.  The face (i, j) cuts e into
+    head, a_i, middle, a_j and tail (the middle is empty for an adjacent
+    pair) and gives, per product output c, the packed code
+    head * B^(n-i) + c * B^(n-1-i) + middle * B^(n-j) + tail, whose
+    position `where` gives, after the code offset of the face point."""
     for offset, tail_w, block_w, head_w, c_w, split, mul, sign in rows:
         hi, tail = divmod(e, tail_w)
         head, ab = divmod(hi, block_w)
-        base = offset + head * head_w + tail
+        base = head * head_w + tail
         if split:
             a, rest = divmod(ab, split)
             middle, b = divmod(rest, radix)
             ab = a * radix + b
             base += middle * tail_w
         for c, k in mul(ab):
-            yield base + c * c_w, sign * k
+            yield offset + where[base + c * c_w], sign * k
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +474,9 @@ def _finite(theory, alg, n_max):
         [(x, e) for x in index.points(n) for e in _tuples(alg.dim, n)]
         for n in range(1, n_max + 1)
     }
-    return ChainComplex(theory, terms, index, products, alg.dim, scale,
-                        label="%s(%s)" % (theory, alg.name))
+    packing = {n: (list(range(alg.dim ** n)),) * 2 for n in terms}
+    return ChainComplex(theory, terms, index, products, alg.dim, packing,
+                        scale, label="%s(%s)" % (theory, alg.name))
 
 
 def build_complex(theory, source, n_max, weight=None):
@@ -526,6 +540,31 @@ class _WordProducts(dict):
         return pairs
 
 
+def _id_tuples(by_length, weight, n):
+    """The word-id tuples of the entry tuples of degree n of the weight
+    piece, in basis order; by_length[l] is the range of the ids of the words
+    of length l."""
+    return sorted(combo for comp in _compositions(weight, n)
+                  for combo in itertools.product(
+                      *(by_length[l] for l in comp)))
+
+
+class _Packing(dict):
+    """The packing of a free piece: degree n -> (the ascending packed codes
+    of E_n, {packed code: position}), each degree computed on first use."""
+
+    def __init__(self, by_length, weight, radix):
+        super().__init__()
+        self._by_length, self._weight, self._radix = by_length, weight, radix
+
+    def __missing__(self, n):
+        powers = [self._radix ** (n - k) for k in range(1, n + 1)]
+        packed = [sum(map(operator.mul, c, powers))
+                  for c in _id_tuples(self._by_length, self._weight, n)]
+        pair = self[n] = packed, dict(zip(packed, range(len(packed))))
+        return pair
+
+
 class FreePiece(ChainComplex):
     """The weight-w piece of the chain complex of the free algebra on
     dim_v generators, freealg.FREE of the theory's algebra kind (free
@@ -534,17 +573,16 @@ class FreePiece(ChainComplex):
     ordered by x and then by the words.
 
     The words of lengths 1..w are numbered once, in their sort order, so
-    B = len(words) and a term is keyed by the code
-    pos(x) * B^n + sum_k (id w_k) * B^(n-k),  the second part being the
-    entry code of its entry tuple.  Codes sort as the terms do but are
-    sparse: most id tuples are not words of total length w, so rows are
-    found through a {code: position} map of one degree at a time.  The
-    entry tuples of a degree are few next to its terms (a factor |X_n|
-    fewer), so a map {entries: entry code} per degree makes encoding one
-    lookup, and the ascending list of entry codes decodes a code to the
-    basis term itself.  Each product of the free algebra becomes an int
-    table (id a) * B + (id b) -> ((id c, coefficient), ...) that fills on
-    first use.
+    B = len(words) and the entry tuple (w_1..w_n) has the packed code
+    sum_k (id w_k) * B^(n-k).  Packed codes sort as the entry tuples do but
+    are sparse, since most id tuples are not words of total length w; the
+    piece hands the kernel the ascending packed codes of each degree and a
+    {packed: position} dict (`_Packing`, built on the first use of the
+    degree, so a degree that is only listed costs nothing more), and a
+    term's code is its position in terms[n] as for every ChainComplex.
+    Each product of the free algebra becomes an int table
+    (id a) * B + (id b) -> ((id c, coefficient), ...) that fills on first
+    use.
 
     Ranks go through the multilinear piece.  A face merges two neighbouring
     words by a product that concatenates their letters and never reorders
@@ -574,72 +612,23 @@ class FreePiece(ChainComplex):
                            key=lambda w: w.sort_key())
             by_length.append(range(len(words), len(words) + len(block)))
             words += block
-        index = _INDEX_SETS[theory]
-        terms, self._entries = {}, {}
+        index, B = _INDEX_SETS[theory], len(words)
+        terms = {}
         for n in range(1, weight + 1):
-            combos = sorted(combo for comp in _compositions(weight, n)
-                            for combo in itertools.product(
-                                *(by_length[l] for l in comp)))
-            entries = self._entries[n] = [tuple(map(words.__getitem__, c))
-                                          for c in combos]
+            entries = [tuple(map(words.__getitem__, c))
+                       for c in _id_tuples(by_length, weight, n)]
             terms[n] = [(x, e) for x in index.points(n) for e in entries]
-        super().__init__(theory, terms, index, {}, len(words),
+        super().__init__(theory, terms, index, {}, B,
+                         _Packing(by_length, weight, B),
                          label="%s(free %s dim V=%d), weight %d"
                                % (theory, kind, dim_v, weight))
-        self._word_ids = {w: i for i, w in enumerate(words)}
+        ids = {w: i for i, w in enumerate(words)}
         for sym in index.symbols:
             self._products[sym] = _WordProducts(
-                carrier.product, sym, words, self._word_ids).__getitem__
-        self._last_codes = None, None
+                carrier.product, sym, words, ids).__getitem__
         self.dim_v = dim_v
         self.weight = weight
         self._multilinear = None
-
-    def _entry_codes(self, n):
-        """The entry codes of the entry tuples of degree n, in basis order,
-        which is ascending: the code of (x; e) is pos(x) * B^n plus the
-        entry code of e."""
-        ids, radix, out = self._word_ids, self.radix, []
-        for e in self._entries[n]:
-            code = 0
-            for w in e:
-                code = code * radix + ids[w]
-            out.append(code)
-        return out
-
-    def _coder(self, n):
-        """Encode through a map {entries: entry code} of degree n; decode by
-        bisecting the ascending entry codes, which gives terms[n]'s own
-        objects.  Both are built on the first use of the degree."""
-        coder = self._coders.get(n)
-        if coder is None:
-            ascending, power = self._entry_codes(n), self.radix ** n
-            codes = dict(zip(self._entries[n], ascending))
-            pos, terms, size = self._points_of(n)[1], self.terms[n], len(codes)
-
-            def encode(term):
-                return pos[term[0]] * power + codes[term[1]]
-
-            def decode(code):
-                p, e = divmod(code, power)
-                return terms[p * size + bisect_left(ascending, e)]
-
-            coder = self._coders[n] = encode, decode
-        return coder
-
-    def _codes(self, n):
-        """The codes of terms[n], in basis order.  Degree n is the columns
-        of d_n and the rows of d_{n+1}; keeping the last degree asked lets an
-        ascending sweep list each basis once without holding them all."""
-        if self._last_codes[0] != n:
-            codes = []
-            if n in self._entries:
-                power, entry_codes = self.radix ** n, self._entry_codes(n)
-                codes = [p * power + e
-                         for p in range(len(self._points_of(n)[0]))
-                         for e in entry_codes]
-            self._last_codes = n, codes
-        return self._last_codes[1]
 
     def rank(self, n):
         if self.dim_v == 1:
@@ -846,13 +835,12 @@ def contraction_by_elimination(cx: ChainComplex, n_top=None):
 
     for n in range(1, n_top + 1):
         cols = cx.terms.get(n + 1, ())
-        rows = {t: i for i, t in enumerate(cx.terms[n])}
-        solver = FactoredSolver(cx.matrix(n + 1), len(rows))
+        solver = FactoredSolver(cx.matrix(n + 1), cx.dim(n))
         for term in cx.terms[n]:
             g = Lin.term(term)
             if n >= 2:
                 g = g - cx.diff(n, term).map_terms(h[n - 1].get)
-            x = solver.solve({rows[u]: c for u, c in g.data.items()})
+            x = solver.solve({cx._key(n, u): c for u, c in g.data.items()})
             if x is None:
                 raise AssertionError("complex is not exact at degree %d" % n)
             h[n][term] = Lin({cols[j]: c for j, c in x.items()})

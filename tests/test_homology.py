@@ -210,16 +210,40 @@ def test_diff_lin_is_linear_over_a_common_denominator(theory, name, params):
 
 @pytest.mark.parametrize("build", [build_cy_free, build_cdend_free])
 def test_free_piece_diff_lin_and_codes(build):
-    # codes come from the per-degree entry codes, and decoding hands back
-    # the basis terms themselves, not equal copies
+    # a term's code is its basis position, and decoding hands back the
+    # basis terms themselves, not equal copies
     for dim_v, weight in ((1, 5), (2, 4)):
         cx = build(dim_v, weight)
         _assert_diff_lin_is_linear(cx)
         for n in range(1, weight + 1):
-            codes = cx._codes(n)
-            assert codes == [cx._key(n, t) for t in cx.terms[n]]
-            for code, t in zip(codes, cx.terms[n]):
+            for code, t in enumerate(cx.terms[n]):
+                assert cx._key(n, t) == code
                 assert cx._term(n, code) is t
+
+
+def _outside_the_basis():
+    """(complex, degree 2, term) triples whose term is no basis term; each
+    was once accepted or failed with a bare KeyError or IndexError."""
+    cy = build_complex("CY", fixture("tensor_square"), 3)
+    cl = build_complex("CL", leibnizification(fixture("tensor_square")), 3)
+    y = parse_name("[2,1]")
+    out = [(cy, (y, e)) for e in ((0, 7), (0, -1), (0,))] + [(cl, (0, 5))]
+    for build in (build_cy_free, build_cdend_free):
+        cx = build(1, 3)
+        out += [(cx, build(1, 2).terms[2][0]), (cx, (3, 4))]
+    return out
+
+
+def test_terms_outside_the_basis_are_refused():
+    for cx, term in _outside_the_basis():
+        for apply in (lambda: cx.diff(2, term),
+                      lambda: cx.diff_lin(2, Lin.term(term)),
+                      lambda: cx.face(2, term, 1)):
+            with pytest.raises(IndexOutOfRange, match="not a basis term"):
+                apply()
+    cy = build_complex("CY", fixture("tensor_square"), 3)
+    with pytest.raises(IndexOutOfRange, match="degree 4 not in 1..3"):
+        cy.diff(4, cy.terms[3][0])
 
 
 def _perturbed(alg, product, i, j, t, delta):
