@@ -46,33 +46,31 @@ from .trees import (
 # ---------------------------------------------------------------------------
 
 class PointedWord:
-    """A word of generators with one marked (middle) letter."""
+    """A word of generators with one marked (middle) letter.  As for trees,
+    there is one object per value (a PointedWord keyed by (letters,
+    pointer), a Word by its letters, a DendTerm by (tree, word)), so
+    equality is identity and the hash is `object`'s."""
 
-    __slots__ = ("letters", "pointer", "_hash")
+    __slots__ = ("letters", "pointer")
 
-    def __init__(self, letters, pointer):
+    def __new__(cls, letters, pointer):
         letters = tuple(letters)
-        if not letters:
-            raise IndexOutOfRange("pointed words are nonempty")
-        if not 0 <= pointer < len(letters):
-            raise IndexOutOfRange(
-                "pointer %d not in 0..%d" % (pointer, len(letters) - 1))
-        self.letters = letters
-        self.pointer = pointer
-        self._hash = hash(("PW", letters, pointer))
+        self = _POINTED_WORDS.get((letters, pointer))
+        if self is None:
+            if not letters:
+                raise IndexOutOfRange("pointed words are nonempty")
+            if not 0 <= pointer < len(letters):
+                raise IndexOutOfRange(
+                    "pointer %d not in 0..%d" % (pointer, len(letters) - 1))
+            self = _POINTED_WORDS[letters, pointer] = super().__new__(cls)
+            self.letters, self.pointer = letters, pointer
+        return self
+
+    def __reduce__(self):
+        return PointedWord, (self.letters, self.pointer)
 
     def __len__(self):
         return len(self.letters)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PointedWord)
-            and self.letters == other.letters
-            and self.pointer == other.pointer
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
@@ -90,25 +88,26 @@ class PointedWord:
 
 
 class Word:
-    """A nonempty word of generators (free Zinbiel / Leibniz basis)."""
+    """A nonempty word of generators (free Zinbiel / Leibniz basis); one
+    object per word."""
 
-    __slots__ = ("letters", "_hash")
+    __slots__ = ("letters",)
 
-    def __init__(self, letters):
+    def __new__(cls, letters):
         letters = tuple(letters)
-        if not letters:
-            raise IndexOutOfRange("words are nonempty")
-        self.letters = letters
-        self._hash = hash(("W", letters))
+        self = _WORDS.get(letters)
+        if self is None:
+            if not letters:
+                raise IndexOutOfRange("words are nonempty")
+            self = _WORDS[letters] = super().__new__(cls)
+            self.letters = letters
+        return self
+
+    def __reduce__(self):
+        return Word, (self.letters,)
 
     def __len__(self):
         return len(self.letters)
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self):
-        return self._hash
 
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
@@ -123,31 +122,27 @@ class Word:
 
 
 class DendTerm:
-    """A basis term (tree; word) of the free dendriform algebra."""
+    """A basis term (tree; word) of the free dendriform algebra; one object
+    per term."""
 
-    __slots__ = ("tree", "word", "_hash")
+    __slots__ = ("tree", "word")
 
-    def __init__(self, tree, word=()):
+    def __new__(cls, tree, word=()):
         word = tuple(word)
-        if len(word) != tree.degree:
-            raise IndexOutOfRange(
-                "word length %d != tree degree %d" % (len(word), tree.degree))
-        self.tree = tree
-        self.word = word
-        self._hash = hash(("DT", tree.name, word))
+        self = _DEND_TERMS.get((tree, word))
+        if self is None:
+            if len(word) != tree.degree:
+                raise IndexOutOfRange("word length %d != tree degree %d"
+                                      % (len(word), tree.degree))
+            self = _DEND_TERMS[tree, word] = super().__new__(cls)
+            self.tree, self.word = tree, word
+        return self
+
+    def __reduce__(self):
+        return DendTerm, (self.tree, self.word)
 
     def __len__(self):
         return len(self.word)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DendTerm)
-            and self.tree == other.tree
-            and self.word == other.word
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
@@ -162,6 +157,9 @@ class DendTerm:
 
     __repr__ = __str__
 
+
+# the one object of each value: key -> term
+_POINTED_WORDS, _WORDS, _DEND_TERMS = {}, {}, {}
 
 DEND_UNIT = DendTerm(LEAF, ())
 
@@ -466,9 +464,10 @@ def _pointed_words(letters, n):
 
 
 def _dend_terms(letters, n):
+    words = list(itertools.product(letters, repeat=n))  # shared by the trees
     # looked up when called, so that a wrapper installed on trees sees it
     for t in trees.enumerate_trees(n):
-        for ltrs in itertools.product(letters, repeat=n):
+        for ltrs in words:
             yield DendTerm(t, ltrs)
 
 

@@ -320,10 +320,14 @@ class ChainComplex:
         return self._lin(n - 1, acc)
 
     def matrix(self, n):
-        """Sparse columns of d_n : C_n -> C_{n-1}, assembled once and kept."""
+        """Sparse columns of d_n : C_n -> C_{n-1}, assembled once and kept;
+        their row keys are the ints of one list, shared by every column."""
         cols = self._columns_cache.get(n)
         if cols is None:
-            cols = self._columns_cache[n] = list(self._assembled(n))
+            rows = list(range(self.dim(n - 1)))
+            cols = self._columns_cache[n] = [
+                {rows[i]: c for i, c in col.items()}
+                for col in self._assembled(n)]
         scale = self.scale
         if scale == 1:
             return cols
@@ -717,30 +721,21 @@ def cy_degeneracy(term, i, unit_vec):
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _trees_named(n):
-    """{name: tree} over the trees of degree n, the objects enumerate_trees
-    lists, so that later lookups meet them by identity."""
-    return {y.name: y for y in enumerate_trees(n)}
-
-
-@functools.lru_cache(maxsize=None)
 def _tree_moves(y):
     """The trees the homotopy can send a degree-n tree y to, and whether it
     ends in a cherry: (s_n y, p_n y, s_{n-1} y, p_{n-1} y, cherry), with
     p_{n-1} y = None for n = 1."""
     n = y.degree
-    named = _trees_named(n + 1)
-    return (named[bifurcate(y, n).name],
-            named[insert_parallel_leaf(y, n).name],
-            named[bifurcate(y, n - 1).name],
-            named[insert_parallel_leaf(y, n - 1).name] if n > 1 else None,
+    return (bifurcate(y, n), insert_parallel_leaf(y, n), bifurcate(y, n - 1),
+            insert_parallel_leaf(y, n - 1) if n > 1 else None,
             ends_in_cherry(y))
 
 
+@functools.lru_cache(maxsize=None)
 def _peel(word):
     """(word minus its last letter u, repointed to its new last letter when
     the mark sat on u, or None for a single letter; u^; whether the mark
-    sat on u)."""
+    sat on u), kept per word as `_tree_moves` keeps its trees per tree."""
     letters = word.letters
     last = len(letters) - 1
     if not last:  # a single letter is u^ itself

@@ -6,11 +6,11 @@ integer arithmetic never passes through `Fraction`, and since
 `2 == Fraction(2)` with equal hashes, equality and hashing of Lins do not
 depend on which of the two a coefficient is.  A `str` is parsed to a
 `Fraction`; a float is never accepted.  Basis terms only need to be
-hashable and mutually orderable through their `sort_key`; every algebra
-in the library (pointed words, tree terms, plain words, chains) stores its
-elements this way, so addition, scaling and linear extension of
-basis-level maps are written once here, and `accumulate` is the one loop
-that sums coefficients into a sparse dict.
+hashable and mutually orderable through their `sort_key`.  Trees,
+permutations, words and dendriform terms keep one object per value, so
+they, and tuples of them, hash and compare by identity, in C.  Addition,
+scaling and linear extension of basis-level maps are written once here,
+and `accumulate` is the one loop that sums coefficients into a dict.
 """
 
 from __future__ import annotations

@@ -35,31 +35,32 @@ RIGHT = "right"  # product symbol |-  (leaf oriented toward the right)
 
 
 class Tree:
-    """Immutable planar binary tree."""
+    """Immutable planar binary tree, one object per tree: `Tree(l, r)` hands
+    back the tree first built on the (already unique) children l and r, so
+    equality is identity and the hash is `object`'s."""
 
-    __slots__ = ("left", "right", "degree", "name", "_hash")
+    __slots__ = ("left", "right", "degree", "name")
 
-    def __init__(self, left=None, right=None):
-        self.left = left
-        self.right = right
-        if left is None:
-            assert right is None
-            self.degree = 0
-            self.name = ()
-        else:
-            self.degree = left.degree + right.degree + 1
-            self.name = left.name + (self.degree,) + right.name
-        self._hash = hash(("Tree", self.name))
+    def __new__(cls, left=None, right=None):
+        self = _TREES.get((left, right))
+        if self is None:
+            self = super().__new__(cls)
+            self.left, self.right = left, right
+            if left is None:
+                assert right is None
+                self.degree, self.name = 0, ()
+            else:
+                self.degree = left.degree + right.degree + 1
+                self.name = left.name + (self.degree,) + right.name
+            _TREES[left, right] = self
+        return self
+
+    def __reduce__(self):
+        return Tree, (self.left, self.right)
 
     @property
     def is_leaf(self):
         return self.left is None
-
-    def __eq__(self, other):
-        return isinstance(other, Tree) and self.name == other.name
-
-    def __hash__(self):
-        return self._hash
 
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
@@ -74,6 +75,8 @@ class Tree:
         return format_name(self)
 
 
+# the one object of each value: (left, right) -> tree, values -> permutation
+_TREES, _PERMUTATIONS = {}, {}
 LEAF = Tree()
 CHERRY = Tree(LEAF, LEAF)  # the unique degree-1 tree [1]
 
@@ -279,17 +282,25 @@ def ends_in_cherry(y: Tree) -> bool:
 # ---------------------------------------------------------------------------
 
 class Permutation:
-    """A bijection of {1..n} in one-line notation [s(1), ..., s(n)]."""
+    """A bijection of {1..n} in one-line notation [s(1), ..., s(n)]; one
+    object per permutation, keyed by its values."""
 
-    __slots__ = ("values", "_hash")
+    __slots__ = ("values",)
 
-    def __init__(self, values):
+    def __new__(cls, values):
         vals = tuple(int(v) for v in values)
-        n = len(vals)
-        if sorted(vals) != list(range(1, n + 1)):
-            raise IndexOutOfRange("not a permutation of 1..%d: %r" % (n, vals))
-        self.values = vals
-        self._hash = hash(("Perm", vals))
+        self = _PERMUTATIONS.get(vals)
+        if self is None:
+            n = len(vals)
+            if sorted(vals) != list(range(1, n + 1)):
+                raise IndexOutOfRange(
+                    "not a permutation of 1..%d: %r" % (n, vals))
+            self = _PERMUTATIONS[vals] = super().__new__(cls)
+            self.values = vals
+        return self
+
+    def __reduce__(self):
+        return Permutation, (self.values,)
 
     @property
     def n(self):
@@ -297,12 +308,6 @@ class Permutation:
 
     def __call__(self, i):
         return self.values[i - 1]
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.values == other.values
-
-    def __hash__(self):
-        return self._hash
 
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()

@@ -1,6 +1,7 @@
 """Command-line interface: worked examples, JSON stability, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -308,3 +309,28 @@ def test_json_outputs_are_byte_stable(capsys):
         _, out = run_cli(capsys, "psi", "--fiber", "[1,3,1]", "--json")
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("homology", "--file", "{file}", "--theory", "CY", "--max-degree", "3"),
+    ("homology", "--free", "--theory", "CY", "--dimv", "2", "--weight", "5",
+     "--max-degree", "5"),
+    ("homology", "--free", "--theory", "CDend", "--dimv", "2", "--weight",
+     "5", "--max-degree", "5"),
+    ("dias-mul", "--op", "right", "x1 x2^ + 2*x2^ x1", "x3^ - x1 x3^"),
+    ("dend-mul", "--op", "star", "([2,1]; x y) + ([1,2]; y x)",
+     "([1]; z) - ([1,2]; z x)"),
+    ("koszul-dual", "--preset", "dias"),
+    ("sh-relations", "--n", "4"),
+], ids=lambda argv: "-".join(a for a in argv[:4] if "{" not in a))
+def test_output_does_not_depend_on_hash_seed(argv, tmp_path):
+    """Terms hash by object identity, so set and dict orders may differ
+    from run to run; what the CLI prints must not."""
+    path = tmp_path / "alg.json"
+    path.write_text(fixture("tensor_square").to_json(), encoding="utf-8")
+    argv = [a.format(file=path) for a in argv] + ["--json"]
+    outs = [subprocess.run([sys.executable, "-m", "dialab", *argv],
+                           capture_output=True, check=True,
+                           env=dict(os.environ, PYTHONHASHSEED=seed)).stdout
+            for seed in ("0", "1")]
+    assert outs[0] and outs[0] == outs[1]
