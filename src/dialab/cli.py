@@ -129,9 +129,18 @@ def cmd_bracket(args):
     _emit(args, out.format(), {"result": _lin_payload(out)})
 
 
+def _read(path):
+    """The text of an input file; one that cannot be read as UTF-8 text is
+    malformed input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedInput("cannot read %s: %s" % (path, exc)) from None
+
+
 def _load_algebra(path, check=True):
-    with open(path, "r", encoding="utf-8") as fh:
-        return finalg.FiniteAlgebra.from_json(fh.read(), check=check)
+    return finalg.FiniteAlgebra.from_json(_read(path), check=check)
 
 
 def cmd_axioms(args):
@@ -178,14 +187,17 @@ def cmd_homology(args):
     if args.free:
         if args.weight is None:
             raise UsageError("--free needs --weight")
-        source = ("free", args.dimv)
+        # the piece on k letters is the direct sum of k^weight copies of the
+        # one-letter piece (FreePiece); a k below 1 is passed on for its error
+        source = ("free", min(args.dimv, 1))
         cx = homology.build_complex(
             args.theory, source, args.max_degree, weight=args.weight)
         betti = cx.betti_table(min(args.max_degree, args.weight))
+        copies = args.dimv ** args.weight
         payload = {
             "theory": args.theory,
             "weight": args.weight,
-            "betti": {str(n): b for n, b in betti.items()},
+            "betti": {str(n): b * copies for n, b in betti.items()},
         }
     else:
         if not args.file:
@@ -209,12 +221,11 @@ def cmd_koszul_dual(args):
     if args.preset:
         q = operads.preset_quadratic(args.preset)
     elif args.file:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise MalformedInput(
-                    "not a quadratic-data document: %s" % (exc,)) from exc
+        try:
+            doc = json.loads(_read(args.file))
+        except json.JSONDecodeError as exc:
+            raise MalformedInput(
+                "not a quadratic-data document: %s" % (exc,)) from exc
         q = operads.QuadraticData.from_json_dict(doc)
     else:
         raise UsageError("pass --preset or --file")
@@ -278,8 +289,10 @@ def cmd_zinb_map(args):
                 "x%d" % i
                 for i in range(1, trees.parse_name(args.tree).degree + 1)))
         x = Lin.term(term)
-    else:
+    elif args.term is not None:
         x = _parse_dend(args.term)
+    else:
+        raise UsageError("pass --tree or --term")
     out = freealg.dendriform_to_zinbiel(x)
     _emit(args, out.format(), {"result": _lin_payload(out)})
 
@@ -394,9 +407,6 @@ def main(argv=None):
         else:
             print("error: %s: %s" % (type(exc).__name__, exc),
                   file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
         return 1
     return 0
 

@@ -68,8 +68,8 @@ class SlotOutOfRange(DialabError):
 
 
 class MalformedInput(DialabError):
-    """An input file or environment setting is not in its documented
-    format."""
+    """An input file, argument or environment setting is not in its
+    documented format, or an input file cannot be read as UTF-8 text."""
 
 
 class DegreeOutOfRange(DialabError):

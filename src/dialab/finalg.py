@@ -643,12 +643,9 @@ def vector_dialgebra(A: FiniteAlgebra, n) -> FiniteAlgebra:
 
 def truncated_free(kind, dim_v, maxdeg) -> FiniteAlgebra:
     """The free algebra freealg.FREE[kind] on dim_v letters, modulo the
-    terms of degree above maxdeg; the basis is in sort order."""
+    terms of degree above maxdeg, on freealg.numbered_basis."""
     carrier = freealg.FREE[kind]
-    letters = ["x%d" % (i + 1) for i in range(dim_v)]
-    basis = [w for n in range(1, maxdeg + 1)
-             for w in sorted(carrier.basis(letters, n),
-                             key=lambda w: w.sort_key())]
+    basis = freealg.numbered_basis(kind, dim_v, maxdeg)
     index = {w: i for i, w in enumerate(basis)}
 
     def table(op):

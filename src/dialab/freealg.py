@@ -23,7 +23,7 @@ import itertools
 from typing import Callable, NamedTuple
 
 from . import trees
-from .errors import IndexOutOfRange, UndefinedOnUnit
+from .errors import IndexOutOfRange, MalformedInput, UndefinedOnUnit
 from .lincomb import Lin, accumulate, bilinear
 from .trees import (
     LEAF,
@@ -496,6 +496,16 @@ FREE = {
 }
 
 
+def numbered_basis(kind, dim_v, max_len):
+    """The basis terms of lengths 1..max_len of FREE[kind] on the letters
+    x1..x<dim_v>, in sort order, which numbers them.  A sort key starts
+    with the length, so the terms of each length are consecutive."""
+    letters = ["x%d" % (i + 1) for i in range(dim_v)]
+    return sorted((w for n in range(1, max_len + 1)
+                   for w in FREE[kind].basis(letters, n)),
+                  key=lambda w: w.sort_key())
+
+
 # ---------------------------------------------------------------------------
 # generic bracket over any carrier with left/right products
 # ---------------------------------------------------------------------------
@@ -575,8 +585,9 @@ def _split_terms(text):
             sign = sign * (1 if ch == "+" else -1)
         else:
             cur += ch
-    if cur.strip():
-        chunks.append((sign, cur.strip()))
+    if not cur.strip():
+        raise MalformedInput("dangling sign in %r" % (text,))
+    chunks.append((sign, cur.strip()))
     return chunks
 
 
@@ -620,7 +631,13 @@ def parse_lincomb(text, parse_term) -> Lin:
 
     def pair(sign, chunk):
         coeff, body = _coeff_and_body(chunk)
-        return (parse_term(body),
-                sign if coeff is None else sign * Fraction(coeff))
+        term = parse_term(body)
+        if coeff is not None:
+            try:
+                sign *= Fraction(coeff)
+            except (ValueError, ZeroDivisionError):
+                raise MalformedInput("bad coefficient %r in %r"
+                                     % (coeff, text)) from None
+        return term, sign
 
     return Lin(pair(*chunk) for chunk in _split_terms(text))

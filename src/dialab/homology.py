@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from fractions import Fraction
 from math import lcm
@@ -144,38 +145,36 @@ class ChainComplex:
         d (x; a_1..a_n) = sum_{(i, j)} (-1)^j
               (face_i x; a_1..mu_{sym(x,i)}(a_i, a_j)..a_n without a_j)
 
-    summed over the face pairs (i, j) of degree n.  Degrees run 1..n_max and
-    `terms[n]` is the ordered basis in degree n.  `index` is an IndexSet;
-    `products[symbol]` sends the packed pair a * B + b of basis ids of A to
-    the pairs (c, coefficient) of  D * mu(a, b).  On the adjacent pairs
-    (i, i+1) the sign is (-1)^(i+1), and the differential is the alternating
-    sum of the faces: this is CY, CS, CDend and CZinb.  CL runs over every
-    pair i < j with the bracket.
+    summed over the face pairs (i, j) of degree n, for n in 1..n_max.  On
+    the adjacent pairs (i, i+1) the sign is (-1)^(i+1), and the differential
+    is the alternating sum of the faces: this is CY, CS, CDend and CZinb.
+    CL runs over every pair i < j with the bracket.
+
+    A source hands over its numbered `basis` of A (range(dim) for a
+    FiniteAlgebra, the sorted words for a FreePiece), B = len(basis) ids;
+    `products[symbol]`, which sends the packed pair a * B + b of ids to the
+    pairs (c, coefficient) of  D * mu(a, b);  and `entries(n)`, E_n, the id
+    tuples of degree n in ascending order.  The index set X_n, its faces
+    and their product symbols come from `theory` (`_INDEX_SETS`).  The
+    constructor builds `terms[n]`, the ordered basis in degree n: (x; e)
+    for x in X_n and then e in E_n, each entry tuple made once from
+    `basis` and shared by every point (CL and CZinb index by a single
+    point and their terms are the bare entry tuples).
 
     Every term is keyed by one int, its code, which is its position in
-    terms[n].  E_n is the ordered list of entry tuples of degree n, and the
-    terms are ordered by x and then by E_n, so (x; e) has the code
-    pos(x) * |E_n| + pos(e),  where pos(x) is the position of x in X_n (0
-    for the bare CL and CZinb terms).  A face works on the packed entry code
-    sum_k a_k * B^(n-k), with B = `radix` ids of A and a_k the id of entry
-    k: divmod cuts it into head, a_i, middle, a_j and tail, and the product
-    of a_i and a_j gives the packed code of the merged entries.  The source
-    hands over `packing`, a mapping from each degree n to the pair
-    (packed, position): packed[k] is the packed code of the k-th entry tuple
-    and position[p] the position of the packed code p.  A finite source
-    numbers its basis 0..dim-1, B = dim, and lists the entry tuples in
-    `itertools.product` order, so both are the list 0..dim^n - 1 (a list,
-    not a range: indexing it hands back a stored int, which keeps the d^2
-    check as fast as plain codes); a free piece (FreePiece) lists its
-    ascending packed codes and a {packed: position} dict, computed when a
-    degree is first used.  So `_key` is two position lookups and a code
-    decodes by indexing terms[n]; only `diff`, `diff_lin`, `face` and
-    `verify_d_squared`'s message ever meet the term objects, while the faces,
-    the d^2 check and the assembly of columns run on codes.  A term outside
-    the basis raises IndexOutOfRange.  The first differential asked of
-    degree n gives X_n integer tables: per point x and face pair (i, j), the
-    code offset pos(face_i x) * |E_{n-1}|, the powers of B that cut a packed
-    code into head, a_i, middle, a_j and tail, the product and the sign.
+    terms[n]:  pos(x) * |E_n| + pos(e).  A face works on the packed entry
+    code sum_k a_k * B^(n-k) of e: divmod cuts it into head, a_i, middle,
+    a_j and tail, and the product of a_i and a_j gives the packed code of
+    the merged entries.  On the first use of degree n the kernel packs E_n,
+    in ascending order, and keeps a {packed: position} dict, so `_key` is
+    two position lookups and a code decodes by indexing terms[n].  Only
+    `diff`, `diff_lin`, `face` and `verify_d_squared`'s message meet the
+    term objects; the faces, the d^2 check and the assembly of columns run
+    on codes.  A term outside the basis raises IndexOutOfRange.  The first
+    differential asked of degree n gives X_n integer tables: per point x
+    and face pair (i, j), the code offset pos(face_i x) * |E_{n-1}|, the
+    powers of B that cut a packed code into head, a_i, middle, a_j and
+    tail, the product and the sign.
 
     Finite structure constants are stored as integer numerators over one
     common denominator D (`scale`), the lcm of all their denominators; free
@@ -188,27 +187,27 @@ class ChainComplex:
     `diff`, `diff_lin`, `face` and `matrix` divide by D.
     """
 
-    def __init__(self, theory, terms, index, products, radix, packing,
-                 scale=1, label=""):
+    def __init__(self, theory, basis, products, entries, n_max, scale=1,
+                 label=""):
         self.theory = theory
-        self.terms = {n: tuple(ts) for n, ts in terms.items()}
+        self.n_max = max(n_max, 0)
         self.label = label
         self.scale = scale
-        self.radix = radix
-        self._ix = index
+        self._ix = ix = _INDEX_SETS[theory]
+        self._radix = len(basis)
         self._products = products
-        self._packing = packing
+        self._entries = entries
+        self.terms = {}
+        for n in range(1, n_max + 1):
+            E = [tuple(map(basis.__getitem__, ids)) for ids in entries(n)]
+            self.terms[n] = tuple(E) if ix.bare else tuple(
+                (x, e) for x in ix.points(n) for e in E)
         self._points = {}
+        self._packings = {}
         self._faces = {}
         self._encoders = {}
-        self._columns_cache = {}
-        self._matrix_cache = {}
         self._rank_cache = {}
         self._sweep = 1, frozenset()
-
-    @property
-    def n_max(self):
-        return max(self.terms) if self.terms else 0
 
     def dim(self, n):
         return len(self.terms.get(n, ()))
@@ -225,13 +224,24 @@ class ChainComplex:
         if n not in self.terms:
             raise IndexOutOfRange("degree %d not in 1..%d" % (n, self.n_max))
 
+    def _packing(self, n):
+        """The packed codes of E_n, ascending, and the position of each."""
+        packing = self._packings.get(n)
+        if packing is None:
+            powers = [self._radix ** (n - k) for k in range(1, n + 1)]
+            packed = [sum(map(operator.mul, ids, powers))
+                      for ids in self._entries(n)]
+            packing = self._packings[n] = packed, dict(
+                zip(packed, range(len(packed))))
+        return packing
+
     def _encoder(self, n):
         """The positions of X_n and of E_n, and |E_n|; E_n is read off the
         first |E_n| terms, those of the first point."""
         enc = self._encoders.get(n)
         if enc is None:
             self._require(n)
-            size = len(self._packing[n][0])
+            size = len(self._packing(n)[0])
             first = self.terms[n][:size]
             enc = self._encoders[n] = self._points_of(n)[1], {
                 e if self._ix.bare else e[1]: k
@@ -271,9 +281,9 @@ class ChainComplex:
         table = self._faces.get(n)
         if table is None:
             self._require(n)
-            ix, products, B = self._ix, self._products, self.radix
-            packed = self._packing[n][0]
-            below, where = self._packing[n - 1] if n > 1 else ((), None)
+            ix, products, B = self._ix, self._products, self._radix
+            packed = self._packing(n)[0]
+            below, where = self._packing(n - 1) if n > 1 else ((), None)
             pos = self._points_of(n - 1)[1] if n > 1 else {}
             pairs = ix.pairs(n)
             table = self._faces[n] = len(packed), packed, [
@@ -289,7 +299,7 @@ class ChainComplex:
         """D * d of one encoded term, as a {code: coefficient} dict."""
         size, packed, rows, where = self._face_table(n)
         x, e = divmod(code, size)
-        return accumulate({}, _apply_faces(packed[e], rows[x], self.radix,
+        return accumulate({}, _apply_faces(packed[e], rows[x], self._radix,
                                            where))
 
     def face(self, n, term, i):
@@ -302,7 +312,7 @@ class ChainComplex:
         x, e = divmod(code, size)
         row = rows[x][self._ix.pairs(n).index((i, i + 1))]
         return self._lin(n - 1, accumulate({}, _apply_faces(
-            packed[e], [row[:-1] + (1,)], self.radix, where)))
+            packed[e], [row[:-1] + (1,)], self._radix, where)))
 
     def diff(self, n, term):
         return self._lin(n - 1, self._idiff(n, self._key(n, term)))
@@ -313,39 +323,25 @@ class ChainComplex:
         if not x.data:
             return Lin()
         size, packed, rows, where = self._face_table(n)
-        radix, acc = self.radix, {}
+        radix, acc = self._radix, {}
         for t, c in x.data.items():
             p, e = divmod(self._key(n, t), size)
             accumulate(acc, _apply_faces(packed[e], rows[p], radix, where), c)
         return self._lin(n - 1, acc)
 
     def matrix(self, n):
-        """Sparse columns of d_n : C_n -> C_{n-1}, assembled once and kept;
-        their row keys are the ints of one list, shared by every column."""
-        cols = self._columns_cache.get(n)
-        if cols is None:
-            rows = list(range(self.dim(n - 1)))
-            cols = self._columns_cache[n] = [
-                {rows[i]: c for i, c in col.items()}
-                for col in self._assembled(n)]
+        """Sparse columns of d_n : C_n -> C_{n-1}, assembled afresh on each
+        call."""
         scale = self.scale
         if scale == 1:
-            return cols
-        mat = self._matrix_cache.get(n)
-        if mat is None:
-            mat = self._matrix_cache[n] = [
-                {i: Fraction(c, scale) for i, c in col.items()}
-                for col in cols]
-        return mat
+            return list(self._assembled(n))
+        return [{i: Fraction(c, scale) for i, c in col.items()}
+                for col in self._assembled(n)]
 
     def _assembled(self, n):
-        """The sparse columns of D * d_n in basis order: the list `matrix`
-        keeps, or else each column as it is computed.  A code is the row
-        number already."""
-        cols = self._columns_cache.get(n)
-        if cols is not None:
-            return cols
-        return (self._idiff(n, code) for code in range(self.dim(n)))
+        """The sparse columns of D * d_n in basis order, each as it is
+        computed.  A code is the row number already."""
+        return map(functools.partial(self._idiff, n), range(self.dim(n)))
 
     def verify_d_squared(self):
         """Check d o d = 0 exactly on every basis term; (D * d)^2 is
@@ -379,8 +375,7 @@ class ChainComplex:
         reduced to zero.  The lemma holds over Q, so also for the integer
         D * d.  The sweep ranks every uncached degree 2..n in order,
         starting from Q_1 = {} (d_1 = 0); it keeps each rank and only the
-        last Q_m, and it drops each transposed d_m once ranked, so only
-        `matrix` keeps columns.
+        last Q_m, and it drops each transposed d_m once ranked.
 
         The precondition d o d = 0 holds for the free pieces and for every
         axiom-checked finite source (`verify_d_squared` certifies it); a
@@ -442,10 +437,6 @@ def _apply_faces(e, rows, radix, where):
 # finite sources
 # ---------------------------------------------------------------------------
 
-def _tuples(dim, n):
-    return itertools.product(range(dim), repeat=n)
-
-
 def _product_vector(alg, symbol, a, b):
     """Dense product of basis elements a, b for a face symbol: a product of
     `alg`, or star, the sum of the two half-products (dendriform) or the
@@ -460,11 +451,10 @@ def _product_vector(alg, symbol, a, b):
 
 
 def _finite(theory, alg, n_max):
-    index = _INDEX_SETS[theory]
     # the product of (a, b) sits at a * dim + b, the packed pair
     pairs = list(itertools.product(range(alg.dim), repeat=2))
     vectors = {sym: [_product_vector(alg, sym, *ab) for ab in pairs]
-               for sym in index.symbols}
+               for sym in _INDEX_SETS[theory].symbols}
     scale = lcm(*(c.denominator for vecs in vectors.values()
                   for vec in vecs for c in vec))
     products = {
@@ -473,14 +463,11 @@ def _finite(theory, alg, n_max):
                    for vec in vecs).__getitem__
         for sym, vecs in vectors.items()
     }
-    terms = {
-        n: list(_tuples(alg.dim, n)) if index.bare else
-        [(x, e) for x in index.points(n) for e in _tuples(alg.dim, n)]
-        for n in range(1, n_max + 1)
-    }
-    packing = {n: (list(range(alg.dim ** n)),) * 2 for n in terms}
-    return ChainComplex(theory, terms, index, products, alg.dim, packing,
-                        scale, label="%s(%s)" % (theory, alg.name))
+    basis = range(alg.dim)
+    return ChainComplex(
+        theory, basis, products,
+        lambda n: itertools.product(basis, repeat=n), n_max, scale,
+        label="%s(%s)" % (theory, alg.name))
 
 
 def build_complex(theory, source, n_max, weight=None):
@@ -553,22 +540,6 @@ def _id_tuples(by_length, weight, n):
                       *(by_length[l] for l in comp)))
 
 
-class _Packing(dict):
-    """The packing of a free piece: degree n -> (the ascending packed codes
-    of E_n, {packed code: position}), each degree computed on first use."""
-
-    def __init__(self, by_length, weight, radix):
-        super().__init__()
-        self._by_length, self._weight, self._radix = by_length, weight, radix
-
-    def __missing__(self, n):
-        powers = [self._radix ** (n - k) for k in range(1, n + 1)]
-        packed = [sum(map(operator.mul, c, powers))
-                  for c in _id_tuples(self._by_length, self._weight, n)]
-        pair = self[n] = packed, dict(zip(packed, range(len(packed))))
-        return pair
-
-
 class FreePiece(ChainComplex):
     """The weight-w piece of the chain complex of the free algebra on
     dim_v generators, freealg.FREE of the theory's algebra kind (free
@@ -576,17 +547,14 @@ class FreePiece(ChainComplex):
     (x; w_1..w_n) with x in X_n and words w_i whose lengths sum to w,
     ordered by x and then by the words.
 
-    The words of lengths 1..w are numbered once, in their sort order, so
-    B = len(words) and the entry tuple (w_1..w_n) has the packed code
-    sum_k (id w_k) * B^(n-k).  Packed codes sort as the entry tuples do but
-    are sparse, since most id tuples are not words of total length w; the
-    piece hands the kernel the ascending packed codes of each degree and a
-    {packed: position} dict (`_Packing`, built on the first use of the
-    degree, so a degree that is only listed costs nothing more), and a
-    term's code is its position in terms[n] as for every ChainComplex.
-    Each product of the free algebra becomes an int table
+    The piece hands ChainComplex the words of lengths 1..w, numbered in
+    sort order (freealg.numbered_basis), as its basis; the id tuples whose
+    word lengths sum to w as the entry tuples of each degree; and each
+    product of the free algebra as an int table
     (id a) * B + (id b) -> ((id c, coefficient), ...) that fills on first
-    use.
+    use.  Packed codes sort as the entry tuples do but are sparse, since
+    most id tuples are not words of total length w; the kernel's
+    {packed: position} dict maps them to positions all the same.
 
     Ranks go through the multilinear piece.  A face merges two neighbouring
     words by a product that concatenates their letters and never reorders
@@ -606,30 +574,20 @@ class FreePiece(ChainComplex):
                 "free pieces need dim_v >= 1 and weight >= 1, got dim_v=%d, "
                 "weight=%d" % (dim_v, weight))
         kind = _THEORY_KIND[theory]
-        carrier = freealg.FREE[kind]
-        letters = ["x%d" % (i + 1) for i in range(dim_v)]
-        # the sort key of a word starts with its length, so the ids of each
-        # length form a range
-        words, by_length = [], [()]
-        for l in range(1, weight + 1):
-            block = sorted(carrier.basis(letters, l),
-                           key=lambda w: w.sort_key())
-            by_length.append(range(len(words), len(words) + len(block)))
-            words += block
-        index, B = _INDEX_SETS[theory], len(words)
-        terms = {}
-        for n in range(1, weight + 1):
-            entries = [tuple(map(words.__getitem__, c))
-                       for c in _id_tuples(by_length, weight, n)]
-            terms[n] = [(x, e) for x in index.points(n) for e in entries]
-        super().__init__(theory, terms, index, {}, B,
-                         _Packing(by_length, weight, B),
-                         label="%s(free %s dim V=%d), weight %d"
-                               % (theory, kind, dim_v, weight))
+        words = freealg.numbered_basis(kind, dim_v, weight)
+        # the words of each length are consecutive, so their ids form a range
+        lengths = [len(w) for w in words]
+        by_length = [range(bisect_left(lengths, l), bisect_right(lengths, l))
+                     for l in range(weight + 1)]
         ids = {w: i for i, w in enumerate(words)}
-        for sym in index.symbols:
-            self._products[sym] = _WordProducts(
-                carrier.product, sym, words, ids).__getitem__
+        product = freealg.FREE[kind].product
+        super().__init__(
+            theory, words,
+            {sym: _WordProducts(product, sym, words, ids).__getitem__
+             for sym in _INDEX_SETS[theory].symbols},
+            functools.partial(_id_tuples, by_length, weight), weight,
+            label="%s(free %s dim V=%d), weight %d"
+                  % (theory, kind, dim_v, weight))
         self.dim_v = dim_v
         self.weight = weight
         self._multilinear = None

@@ -27,6 +27,7 @@ from .errors import (
     FaceOfLeaf,
     IndexOutOfRange,
     InvalidName,
+    MalformedInput,
     SplitOfLeaf,
 )
 
@@ -363,7 +364,11 @@ def parse_permutation(text: str) -> Permutation:
         raise IndexOutOfRange("empty permutation: %r" % (text,))
     if len(parts) == 1 and len(parts[0]) > 1:
         parts = list(parts[0])
-    return Permutation(int(p) for p in parts)
+    try:
+        values = [int(p) for p in parts]
+    except ValueError:
+        raise MalformedInput("non-integer entry in %r" % (text,)) from None
+    return Permutation(values)
 
 
 def all_permutations(n):

@@ -9,6 +9,7 @@ import pytest
 
 from dialab.cli import main
 from dialab.finalg import fixture
+from dialab.homology import build_complex
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +132,16 @@ def test_homology_free_piece(capsys):
                         "--dimv", "1", "--weight", "1",
                         "--max-degree", "1", "--json")
     assert json.loads(out)["betti"] == {"1": 1}
+    # on k letters the CLI scales the one-letter Betti numbers by k^weight;
+    # they must be those of the whole piece
+    for theory in ("CY", "CDend"):
+        for dimv, weight in ((2, 1), (3, 1), (2, 3), (3, 2)):
+            code, out = run_cli(capsys, "homology", "--free", "--theory",
+                                theory, "--dimv", str(dimv), "--weight",
+                                str(weight), "--max-degree", "4", "--json")
+            whole = build_complex(theory, ("free", dimv), 4, weight=weight)
+            assert json.loads(out)["betti"] == {
+                str(n): b for n, b in whole.betti_table(weight).items()}
 
 
 def test_empty_free_pieces_are_refused(capsys):
@@ -334,3 +345,175 @@ def test_output_does_not_depend_on_hash_seed(argv, tmp_path):
                            env=dict(os.environ, PYTHONHASHSEED=seed)).stdout
             for seed in ("0", "1")]
     assert outs[0] and outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# argument grid: every subcommand, valid and malformed arguments
+# ---------------------------------------------------------------------------
+
+# "{name}" stands for a file that the test writes: an algebra, a quadratic
+# datum, bytes that are not UTF-8, text that is not JSON, a directory and a
+# path that does not exist
+_GRID = {
+    "trees": [
+        (), ("--n", "3"), ("--n", "3", "--count"), ("--n", "-1"),
+        ("--count",), ("--n", "x"), ("--parse", "[1,3,1]"),
+        ("--parse", "[2,2]"), ("--parse", ""), ("--parse", "[a]"),
+        ("--graft", "[1]", "[2,1]"), ("--graft", "[1]", "x"),
+        ("--graft", "[1]"), ("--split", "[1,3,1]"), ("--split", "[0]"),
+        ("--face", "[2,1]", "--i", "0"), ("--face", "[2,1]", "--i", "9"),
+        ("--face", "[0]"), ("--expand", "[2,1]", "--i", "1"),
+        ("--expand", "[2,1]", "--i", "-5"),
+        ("--expand", "[2,1]", "--mode", "sideways"),
+    ],
+    "psi": [
+        (), ("--perm", "[3,1,2]"), ("--perm", "[3,1,2]", "--prime"),
+        ("--perm", "[a,b]"), ("--perm", "[1,1]"), ("--perm", ""),
+        ("--perm", "[0,1]"), ("--fiber", "[1,3,1]"), ("--fiber", "[2,2]"),
+        ("--fiber", "x"),
+    ],
+    "dias-mul": [
+        ("--op", "left", "x^ y", "2*z^ - x^"), ("--op", "right", "x^", "y^"),
+        ("--op", "left", "x^ +", "y^"), ("--op", "left", "x^", "-"),
+        ("--op", "left", "a*y^", "x^"), ("--op", "right", "2/0*y^", "x^"),
+        ("--op", "left", "x y", "z^"), ("--op", "left", "x^ y^", "z^"),
+        ("--op", "left", "", "z^"), ("--op", "up", "x^", "y^"),
+        ("x^", "y^"),
+    ],
+    "dend-mul": [
+        ("--op", "prec", "([2,1]; x y)", "([1]; z)"),
+        ("--op", "star", "1/2*([1]; x)", "([0];)"),
+        ("--op", "succ", "([0];)", "([0];)"),
+        ("--op", "prec", "([2,1]; x)", "([1]; z)"),
+        ("--op", "prec", "([2,2]; x y)", "([1]; z)"),
+        ("--op", "prec", "[1]; x", "([1]; z)"),
+        ("--op", "prec", "a*([1]; x)", "([1]; z)"),
+        ("--op", "succ", "([1]; x) +", "([1]; z)"),
+        ("--op", "over", "([1]; x)", "([1]; z)"),
+    ],
+    "zinb-mul": [
+        ("x y", "z"), ("--mode", "symmetrized", "x", "y - 3*z"),
+        ("x", ""), ("x +", "y"), ("a*x", "y"), ("2/0*x", "y"),
+        ("--mode", "twisted", "x", "y"),
+    ],
+    "bracket": [
+        ("x^", "y^"), ("x^ y", "-1/3*y^"), ("x", "y^"), ("x^", "y^ -"),
+        ("x^/y", "y^"), ("a*x^", "y^"), ("x^", "1/0*y^"),
+    ],
+    "axioms": [
+        ("--file", "{algebra}"), ("--file", "{not_json}"),
+        ("--file", "{not_utf8}"), ("--file", "{directory}"),
+        ("--file", "{missing}"), ("--file", "{quadratic}"), (),
+    ],
+    "halo": [
+        ("--file", "{algebra}"), ("--file", "{not_json}"),
+        ("--file", "{not_utf8}"), ("--file", "{directory}"),
+        ("--file", "{missing}"),
+    ],
+    "assoc": [
+        ("--file", "{algebra}"), ("--file", "{not_json}"),
+        ("--file", "{not_utf8}"), ("--file", "{directory}"),
+        ("--file", "{missing}"),
+    ],
+    "homology": [
+        ("--file", "{algebra}", "--max-degree", "2"),
+        ("--file", "{algebra}", "--theory", "CS", "--max-degree", "2"),
+        ("--file", "{algebra}", "--theory", "CL", "--max-degree", "2"),
+        ("--file", "{algebra}", "--max-degree", "-1"),
+        ("--file", "{not_json}"), ("--file", "{not_utf8}"),
+        ("--file", "{directory}"), ("--file", "{missing}"),
+        ("--free", "--weight", "3", "--max-degree", "3"),
+        ("--free", "--theory", "CDend", "--dimv", "2", "--weight", "2"),
+        ("--free", "--theory", "CS", "--weight", "2"),
+        ("--free", "--dimv", "0", "--weight", "2"),
+        ("--free", "--weight", "0"), ("--free",), (),
+        ("--free", "--weight", "x"), ("--theory", "CQ"),
+    ],
+    "koszul-dual": [
+        ("--preset", "dias"), ("--preset", "as"), ("--file", "{quadratic}"),
+        ("--file", "{algebra}"), ("--file", "{not_json}"),
+        ("--file", "{not_utf8}"), ("--file", "{directory}"),
+        ("--file", "{missing}"), ("--preset", "lie"), (),
+    ],
+    "poincare": [
+        (), ("--preset", "dend", "--degree", "6", "--check-inverse"),
+        ("--degree", "0"), ("--degree", "-3"), ("--degree", "x"),
+        ("--preset", "as"),
+    ],
+    "compose": [
+        ("--outer", "[2,1]", "--pos", "1", "--inner", "[2,1]"),
+        ("--outer", "[2,1]", "--pos", "9", "--inner", "[1]"),
+        ("--outer", "[2,1]", "--pos", "0", "--inner", "[1]"),
+        ("--outer", "[2,2]", "--pos", "1", "--inner", "[1]"),
+        ("--outer", "[2,1]", "--pos", "1"),
+    ],
+    "sh-relations": [
+        ("--n", "2"), ("--n", "0"), ("--n", "7"), ("--n", "x"), (),
+    ],
+    "zinb-map": [
+        ("--tree", "[1,3,1]", "--letters", "x y z"), ("--tree", "[1,3,1]"),
+        ("--tree", "[1,3,1]", "--letters", "x"), ("--tree", "[2,2]"),
+        ("--term", "([2,1]; x y) - 2*([1,2]; y x)"),
+        ("--term", "a*([1]; x)"), ("--term", "([1]; x) -"),
+        ("--term", "([1]; x y)"), (),
+    ],
+}
+
+
+def _grid_files(tmp_path):
+    paths = {name: tmp_path / name for name in (
+        "algebra", "quadratic", "not_utf8", "not_json", "directory")}
+    paths["algebra"].write_text(fixture("tensor_square").to_json(),
+                                encoding="utf-8")
+    paths["quadratic"].write_text(_AS, encoding="utf-8")
+    paths["not_utf8"].write_bytes(b'{"kind": "\xff"}')
+    paths["not_json"].write_text("not json", encoding="utf-8")
+    paths["directory"].mkdir()
+    paths["missing"] = tmp_path / "no-such-file.json"
+    return {name: str(p) for name, p in paths.items()}
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param((command,) + args, id=" ".join((command,) + args))
+    for command, cases in _GRID.items() for args in cases])
+def test_argument_grid(argv, tmp_path, capsys):
+    files = _grid_files(tmp_path)
+    argv = [a.format(**files) for a in argv]
+    for mode in ([], ["--json"]):
+        try:
+            code = main(argv + mode)
+        except SystemExit as exc:  # argparse refusing the arguments
+            code = exc.code
+        out = capsys.readouterr().out
+        assert code in (0, 1, 2)
+        if mode and code == 2:
+            assert out == ""
+        elif mode:
+            doc = json.loads(out)
+            assert out.endswith("\n")
+            assert ("error" in doc) == (code == 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ("psi", "--perm", "[a,b]"),
+    ("dias-mul", "--op", "left", "a*y^", "x^"),
+    ("dias-mul", "--op", "right", "2/0*y^", "x^"),
+    ("dias-mul", "--op", "left", "x^ +", "y^"),
+    ("dend-mul", "--op", "prec", "a*([1]; x)", "([1]; z)"),
+    ("zinb-mul", "x", "2/0*y"),
+    ("bracket", "x^", "y^ -"),
+    ("zinb-map", "--term", "a*([1]; x)"),
+    ("axioms", "--file", "{directory}"),
+    ("halo", "--file", "{not_utf8}"),
+    ("assoc", "--file", "{missing}"),
+    ("homology", "--file", "{not_utf8}"),
+    ("koszul-dual", "--file", "{not_utf8}"),
+], ids=" ".join)
+def test_bad_arguments_and_unreadable_files_are_malformed_input(
+        argv, tmp_path, capsys):
+    # each of these once ended in a traceback, printed no JSON, or (the
+    # dangling sign) was read as if the sign were not there
+    files = _grid_files(tmp_path)
+    code, out = run_cli(capsys, *(a.format(**files) for a in argv), "--json")
+    assert code == 1
+    assert json.loads(out)["error"] == "MalformedInput"

@@ -221,6 +221,44 @@ def test_free_piece_diff_lin_and_codes(build):
                 assert cx._term(n, code) is t
 
 
+def test_every_point_shares_the_entry_tuples():
+    # terms[n] runs over x in X_n and then over E_n, and each entry tuple
+    # is one object, held by the terms of every point
+    sources = [build_complex(theory, fixture(name, **params), 4)
+               for theory, name, params in KERNEL_SOURCES
+               if theory not in ("CL", "CZinb")]  # bare entry tuples
+    sources += [build(dim_v, 4) for build in (build_cy_free, build_cdend_free)
+                for dim_v in (1, 2)]
+    for cx in sources:
+        for n, terms in cx.terms.items():
+            size = sum(t[0] is terms[0][0] for t in terms)
+            assert size * len({t[0] for t in terms}) == len(terms)
+            for k in range(len(terms) - size):
+                assert terms[k][1] is terms[k + size][1]
+
+
+def _assert_matrix_is_diff(cx, n):
+    """matrix(n) holds the columns of diff in basis order, assembled afresh
+    on every call."""
+    mat = cx.matrix(n)
+    rows = {u: i for i, u in enumerate(cx.terms[n - 1])}
+    assert mat == [{rows[u]: c for u, c in cx.diff(n, t).data.items()}
+                   for t in cx.terms[n]]
+    again = cx.matrix(n)
+    assert again == mat and again is not mat
+    assert all(a is not b for a, b in zip(again, mat))
+    return mat
+
+
+@pytest.mark.parametrize("build", [build_cy_free, build_cdend_free])
+def test_free_piece_matrix_is_diff(build):
+    cx = build(2, 4)
+    assert cx.matrix(1) == [{}] * cx.dim(1)
+    for n in range(2, 5):
+        _assert_matrix_is_diff(cx, n)
+    assert cx.matrix(5) == []
+
+
 def _outside_the_basis():
     """(complex, degree 2, term) triples whose term is no basis term; each
     was once accepted or failed with a bare KeyError or IndexError."""
@@ -305,10 +343,7 @@ def test_integer_ranks_match_fraction_ranks(name):
         assert (cx.scale > 1) != (theory == "CL"
                                   and name == "vector_dialgebra")
         for n in range(2, 5):
-            mat = cx.matrix(n)
-            rows = {u: i for i, u in enumerate(cx.terms[n - 1])}
-            assert mat == [{rows[u]: c for u, c in cx.diff(n, t).data.items()}
-                           for t in cx.terms[n]]
+            mat = _assert_matrix_is_diff(cx, n)
             assert all(type(c) is Fraction
                        for col in mat for c in col.values())
             assert cx.rank(n) == rank_of_columns(mat, nrows=cx.dim(n - 1))
