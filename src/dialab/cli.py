@@ -12,8 +12,8 @@ import json
 import sys
 
 from . import finalg, freealg, homology, operads, trees
-from .errors import DegreeOutOfRange, DialabError, MalformedInput
-from .lincomb import Lin, json_coeff
+from .errors import DegreeOutOfRange, DialabError, MalformedInput, TooLarge
+from .lincomb import Lin, int_str_limit, json_coeff, printable
 
 
 class UsageError(Exception):
@@ -99,34 +99,36 @@ def _parse_dend(text):
     return freealg.parse_lincomb(text, freealg.parse_dend_term)
 
 
-def cmd_dend_mul(args):
-    a = _parse_dend(args.a)
-    b = _parse_dend(args.b)
-    out = freealg.dend_mul(a, b, args.op)
-    _emit(args, out.format(), {"op": args.op, "result": _lin_payload(out)})
+def _printable(x: Lin) -> Lin:
+    """x, refused before printing when a coefficient is too long to convert
+    to text."""
+    if not all(map(printable, x.data.values())):
+        raise TooLarge("a coefficient of the result has more than %d digits"
+                       % int_str_limit())
+    return x
 
 
-def cmd_dias_mul(args):
-    a = freealg.parse_lincomb(args.a, freealg.parse_pointed_word)
-    b = freealg.parse_lincomb(args.b, freealg.parse_pointed_word)
-    side = trees.LEFT if args.op == "left" else trees.RIGHT
-    out = freealg.dias_mul(a, b, side)
-    _emit(args, out.format(), {"op": args.op, "result": _lin_payload(out)})
+# the product subcommands: term parser, Lin product, the flag that names the
+# product (bracket takes none), the carrier whose product names are the
+# flag's choices, the flag's default (None: required) and the help text
+_PRODUCTS = {
+    "dend-mul": (freealg.parse_dend_term, freealg.dend_mul, "op",
+                 "dendriform", None, "free dendriform products"),
+    "dias-mul": (freealg.parse_pointed_word, freealg.dias_mul, "op",
+                 "dialgebra", None, "free two-product products"),
+    "zinb-mul": (freealg.parse_word, freealg.zinb_mul, "mode",
+                 "zinbiel", "dot", "half-shuffle products"),
+    "bracket": (freealg.parse_pointed_word, freealg.dias_bracket, None,
+                None, None, "bracket on pointed words"),
+}
 
 
-def cmd_zinb_mul(args):
-    a = freealg.parse_lincomb(args.a, freealg.parse_word)
-    b = freealg.parse_lincomb(args.b, freealg.parse_word)
-    out = freealg.zinb_mul(a, b, args.mode)
-    _emit(args, out.format(), {"mode": args.mode,
-                               "result": _lin_payload(out)})
-
-
-def cmd_bracket(args):
-    a = freealg.parse_lincomb(args.a, freealg.parse_pointed_word)
-    b = freealg.parse_lincomb(args.b, freealg.parse_pointed_word)
-    out = freealg.dias_bracket(a, b)
-    _emit(args, out.format(), {"result": _lin_payload(out)})
+def cmd_product(args):
+    parse_term, mul, flag = _PRODUCTS[args.command][:3]
+    a, b = (freealg.parse_lincomb(s, parse_term) for s in (args.a, args.b))
+    named = {flag: getattr(args, flag)} if flag else {}
+    out = _printable(mul(a, b, *named.values()))
+    _emit(args, out.format(), dict(named, result=_lin_payload(out)))
 
 
 def _read(path):
@@ -293,7 +295,7 @@ def cmd_zinb_map(args):
         x = _parse_dend(args.term)
     else:
         raise UsageError("pass --tree or --term")
-    out = freealg.dendriform_to_zinbiel(x)
+    out = _printable(freealg.dendriform_to_zinbiel(x))
     _emit(args, out.format(), {"result": _lin_payload(out)})
 
 
@@ -332,24 +334,14 @@ def build_parser():
                     help="use the height coding")
     sp.add_argument("--fiber", metavar="TREE")
 
-    sp = add("dend-mul", cmd_dend_mul, help="free dendriform products")
-    sp.add_argument("--op", choices=["prec", "succ", "star"], required=True)
-    sp.add_argument("a")
-    sp.add_argument("b")
-
-    sp = add("dias-mul", cmd_dias_mul, help="free two-product products")
-    sp.add_argument("--op", choices=["left", "right"], required=True)
-    sp.add_argument("a")
-    sp.add_argument("b")
-
-    sp = add("zinb-mul", cmd_zinb_mul, help="half-shuffle products")
-    sp.add_argument("--mode", choices=["dot", "symmetrized"], default="dot")
-    sp.add_argument("a")
-    sp.add_argument("b")
-
-    sp = add("bracket", cmd_bracket, help="bracket on pointed words")
-    sp.add_argument("a")
-    sp.add_argument("b")
+    for name, (_, _, flag, kind, default, text) in _PRODUCTS.items():
+        sp = add(name, cmd_product, help=text)
+        if flag:
+            sp.add_argument("--" + flag,
+                            choices=list(freealg.FREE[kind].products),
+                            required=default is None, default=default)
+        sp.add_argument("a")
+        sp.add_argument("b")
 
     for name, fn in (("axioms", cmd_axioms), ("halo", cmd_halo),
                      ("assoc", cmd_assoc)):

@@ -42,7 +42,8 @@ class UnknownPreset(DialabError):
 
 
 class TooLarge(DialabError):
-    """A requested finite algebra exceeds the dimension cap."""
+    """A requested finite algebra exceeds the dimension cap, or a result has
+    a coefficient too long to convert to text."""
 
 
 class AxiomFailure(DialabError):

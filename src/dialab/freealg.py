@@ -12,19 +12,22 @@ Carriers and their bases:
 
 All products are bilinear over Lin combinations with exact int or Fraction
 coefficients.  FREE[kind] describes each of the four free algebras once:
-its basis in each degree and its basis-level products.  The truncated free
-fixtures of finalg and the free chain-complex pieces of homology both read
-it.
+its basis in each degree and its basis-level products by name, which the
+Lin products lift.  The truncated free fixtures of finalg and the free
+chain-complex pieces of homology both read it.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import trees
 from .errors import IndexOutOfRange, MalformedInput, UndefinedOnUnit
-from .lincomb import Lin, accumulate, bilinear
+from .lincomb import (Lin, accumulate, bilinear, int_str_limit,
+                      printable)
 from .trees import (
     LEAF,
     LEFT,
@@ -225,16 +228,12 @@ def eval_monomial(m) -> Lin:
 # free dialgebra products
 # ---------------------------------------------------------------------------
 
-def dias_term(a: PointedWord, b: PointedWord, side):
-    letters = a.letters + b.letters
-    if side == LEFT:
-        return PointedWord(letters, a.pointer)
-    if side == RIGHT:
-        return PointedWord(letters, len(a.letters) + b.pointer)
-    raise IndexOutOfRange("side must be %r or %r" % (LEFT, RIGHT))
+def _dias_left(a: PointedWord, b: PointedWord):
+    return PointedWord(a.letters + b.letters, a.pointer)
 
 
-dias_mul = bilinear(dias_term)
+def _dias_right(a: PointedWord, b: PointedWord):
+    return PointedWord(a.letters + b.letters, len(a.letters) + b.pointer)
 
 
 def fusion(x: Lin) -> Lin:
@@ -264,7 +263,7 @@ def leibniz_to_dialgebra(word: Word) -> Lin:
 
 def gamma_tensor(word: Word) -> Lin:
     """Same alternating sum inside the tensor algebra (no mark)."""
-    return leibniz_to_dialgebra(word).map_terms(lambda pw: Word(pw.letters))
+    return fusion(leibniz_to_dialgebra(word))
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +277,7 @@ def _tree_prec(y: Tree, z: Tree) -> Lin:
         return Lin.term(y)
     if y.is_leaf:
         return Lin.zero()
-    return tree_star(Lin.term(y.right), Lin.term(z)).map_terms(
-        lambda t: graft(y.left, t))
+    return _tree_star(y.right, z).map_terms(lambda t: graft(y.left, t))
 
 
 def _tree_succ(y: Tree, z: Tree) -> Lin:
@@ -289,8 +287,7 @@ def _tree_succ(y: Tree, z: Tree) -> Lin:
         return Lin.term(z)
     if z.is_leaf:
         return Lin.zero()
-    return tree_star(Lin.term(y), Lin.term(z.left)).map_terms(
-        lambda t: graft(t, z.right))
+    return _tree_star(y, z.left).map_terms(lambda t: graft(t, z.right))
 
 
 def _tree_star(y: Tree, z: Tree) -> Lin:
@@ -310,20 +307,16 @@ tree_star = bilinear(_tree_star)
 tree_involution = mirror
 
 
-def _dend_term_mul(a: DendTerm, b: DendTerm, op) -> Lin:
-    if op == "prec":
-        trees = _tree_prec(a.tree, b.tree)
-    elif op == "succ":
-        trees = _tree_succ(a.tree, b.tree)
-    elif op == "star":
-        trees = _tree_star(a.tree, b.tree)
-    else:
-        raise IndexOutOfRange("op must be prec, succ or star")
-    word = a.word + b.word
-    return trees.map_terms(lambda t: DendTerm(t, word))
+def _on_dend_terms(tree_product):
+    """The product of dendriform terms whose trees multiply by
+    `tree_product` and whose words concatenate."""
 
+    def product(a: DendTerm, b: DendTerm) -> Lin:
+        word = a.word + b.word
+        return tree_product(a.tree, b.tree).map_terms(
+            lambda t: DendTerm(t, word))
 
-dend_mul = bilinear(_dend_term_mul)
+    return product
 
 
 def eval_tree_monomial(y: Tree, args) -> Lin:
@@ -420,27 +413,14 @@ def _zinb_sym(a: Word, b: Word) -> Lin:
     return _zinb_dot(a, b) + _zinb_dot(b, a)
 
 
-def zinb_mul(a: Lin, b: Lin, mode: str = "dot") -> Lin:
-    if mode == "dot":
-        return bilinear(_zinb_dot)(a, b)
-    if mode == "symmetrized":
-        return bilinear(_zinb_sym)(a, b)
-    raise IndexOutOfRange("mode must be dot or symmetrized")
-
-
 def _leib_term(a: Word, b: Word) -> Lin:
+    """[a, b] for the left-iterated bracket b = [h, l], l its last letter,
+    by the Leibniz identity [a, [h, l]] = [[a, h], l] - [[a, l], h]."""
     if len(b) == 1:
         return Lin.term(Word(a.letters + b.letters))
-    head = Word(b.letters[:-1])
-    last = Word(b.letters[-1:])
-    inner = _leib_term(a, head)           # [a, b']
-    first = bilinear(_leib_term)(inner, Lin.term(last))
-    outer = bilinear(_leib_term)(
-        bilinear(_leib_term)(Lin.term(a), Lin.term(last)), Lin.term(head))
-    return first - outer
-
-
-leib_bracket_free = bilinear(_leib_term)
+    head, last = Word(b.letters[:-1]), b.letters[-1:]
+    return (_leib_term(a, head).map_terms(lambda t: Word(t.letters + last))
+            - _leib_term(Word(a.letters + last), head))
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +429,21 @@ leib_bracket_free = bilinear(_leib_term)
 
 class FreeCarrier(NamedTuple):
     """A free algebra: `basis(letters, n)` yields its basis terms of degree
-    n on the generators `letters`, and `product(a, b, op)` is the product
-    named `op` of two basis terms, a `Lin | term`.  Every basis term
-    measures its degree with `len`."""
+    n on the generators `letters`, and `products[op]` is its basis-level
+    product named `op`, (a, b) -> Lin | term.  Every basis term measures
+    its degree with `len`."""
 
     basis: Callable
-    product: Callable
+    products: dict
+
+    def product(self, a, b, op):
+        """The product named `op` of the basis terms a and b."""
+        try:
+            mul = self.products[op]
+        except KeyError:
+            raise IndexOutOfRange("op must be one of %s, not %r"
+                                  % (", ".join(self.products), op)) from None
+        return mul(a, b)
 
 
 def _pointed_words(letters, n):
@@ -475,25 +464,30 @@ def _words(letters, n):
     return (Word(ltrs) for ltrs in itertools.product(letters, repeat=n))
 
 
-def _named(name, mul):
-    """The basis-level product of a carrier whose one product is `name`."""
-
-    def product(a, b, op):
-        if op != name:
-            raise IndexOutOfRange("op must be %s" % (name,))
-        return mul(a, b)
-
-    return product
-
-
 # the products by name: "left"/"right" (dialgebra), "prec"/"succ" and their
-# sum "star" (dendriform), "dot" (Zinbiel), "bracket" (Leibniz)
+# sum "star" (dendriform), "dot" and its symmetrization (Zinbiel), "bracket"
+# (Leibniz)
 FREE = {
-    "dialgebra": FreeCarrier(_pointed_words, dias_term),
-    "dendriform": FreeCarrier(_dend_terms, _dend_term_mul),
-    "zinbiel": FreeCarrier(_words, _named("dot", _zinb_dot)),
-    "leibniz": FreeCarrier(_words, _named("bracket", _leib_term)),
+    "dialgebra": FreeCarrier(_pointed_words,
+                             {LEFT: _dias_left, RIGHT: _dias_right}),
+    "dendriform": FreeCarrier(_dend_terms, {
+        "prec": _on_dend_terms(_tree_prec),
+        "succ": _on_dend_terms(_tree_succ),
+        "star": _on_dend_terms(_tree_star)}),
+    "zinbiel": FreeCarrier(_words,
+                           {"dot": _zinb_dot, "symmetrized": _zinb_sym}),
+    "leibniz": FreeCarrier(_words, {"bracket": _leib_term}),
 }
+
+# the Lin lifts of the products, by their names
+dias_term = FREE["dialgebra"].product
+dias_mul = bilinear(dias_term)
+dend_mul = bilinear(FREE["dendriform"].product)
+leib_bracket_free = bilinear(_leib_term)
+
+
+def zinb_mul(a: Lin, b: Lin, mode: str = "dot") -> Lin:
+    return bilinear(FREE["zinbiel"].product)(a, b, mode)
 
 
 def numbered_basis(kind, dim_v, max_len):
@@ -548,15 +542,11 @@ def dendriform_to_zinbiel(x: Lin) -> Lin:
     return x.map_terms(on_term)
 
 
-def zinbiel_as_dendriform(a: Lin, b: Lin, op: str) -> Lin:
-    """The dendriform structure of a Zinbiel product: x < y = x.y, x > y = y.x."""
-    if op == "prec":
-        return zinb_mul(a, b, "dot")
-    if op == "succ":
-        return zinb_mul(b, a, "dot")
-    if op == "star":
-        return zinb_mul(a, b, "symmetrized")
-    raise IndexOutOfRange("op must be prec, succ or star")
+# the dendriform structure of the Zinbiel product: x < y = x.y, x > y = y.x
+zinbiel_as_dendriform = bilinear(FreeCarrier(_words, {
+    "prec": _zinb_dot,
+    "succ": lambda a, b: _zinb_dot(b, a),
+    "star": _zinb_sym}).product)
 
 
 # ---------------------------------------------------------------------------
@@ -626,18 +616,40 @@ def parse_dend_term(text) -> DendTerm:
     return DendTerm(parse_name(name.strip()), tuple(word.split()))
 
 
-def parse_lincomb(text, parse_term) -> Lin:
-    from fractions import Fraction
+# the exponent that ends a coefficient such as 1.5e3
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9][0-9_]*)\s*$")
 
+
+def _coefficient(coeff, text) -> Fraction:
+    """The exact value of the coefficient `coeff` of the element `text`.
+
+    A value whose numerator or denominator has more digits than the
+    interpreter converts to text (lincomb.printable) is malformed input.
+    Fraction multiplies by 10**|exponent| before it reduces, so an exponent
+    past that limit plus the length of `coeff`, which makes any nonzero
+    value pass it, is refused before the power is built.
+    """
+    limit = int_str_limit()
+    exponent = _EXPONENT.search(coeff)
+    try:
+        huge = limit and exponent and (
+            abs(int(exponent.group(1))) > limit + len(coeff))
+        value = None if huge else Fraction(coeff)
+    except (ValueError, ZeroDivisionError):
+        raise MalformedInput("bad coefficient %r in %r"
+                             % (coeff, text)) from None
+    if value is None or not printable(value):
+        raise MalformedInput("coefficient %r in %r passes the %d-digit limit"
+                             % (coeff, text, limit))
+    return value
+
+
+def parse_lincomb(text, parse_term) -> Lin:
     def pair(sign, chunk):
         coeff, body = _coeff_and_body(chunk)
         term = parse_term(body)
         if coeff is not None:
-            try:
-                sign *= Fraction(coeff)
-            except (ValueError, ZeroDivisionError):
-                raise MalformedInput("bad coefficient %r in %r"
-                                     % (coeff, text)) from None
+            sign *= _coefficient(coeff, text)
         return term, sign
 
     return Lin(pair(*chunk) for chunk in _split_terms(text))

@@ -769,11 +769,11 @@ def homotopy_free_dialgebra(term_or_lin) -> Lin:
     return Lin.wrap(accumulate({}, _homotopy_pairs(term_or_lin)))
 
 
-def contraction_by_elimination(cx: ChainComplex, n_top=None):
+def contraction_by_elimination(cx: ChainComplex):
     """Exact contracting homotopy of an acyclic based complex, by solving.
 
     Returns h as {n: {term: Lin over degree n+1 terms}} with
-    d h + h d = id in degrees 2..n_top, built degree by degree: given
+    d h + h d = id in degrees 2..cx.n_max, built degree by degree: given
     h_{n-1}, the residual g = id - h_{n-1} d lies in the image of d_{n+1}
     (this is exactness), and h_n(term) is the preimage of g(term) whose
     free coordinates are zero, read off a FactoredSolver built once per
@@ -783,10 +783,9 @@ def contraction_by_elimination(cx: ChainComplex, n_top=None):
     """
     from .linalg import FactoredSolver
 
-    n_top = n_top or cx.n_max
-    h = {n: {} for n in range(1, n_top + 1)}
+    h = {n: {} for n in range(1, cx.n_max + 1)}
 
-    for n in range(1, n_top + 1):
+    for n in range(1, cx.n_max + 1):
         cols = cx.terms.get(n + 1, ())
         solver = FactoredSolver(cx.matrix(n + 1), cx.dim(n))
         for term in cx.terms[n]:

@@ -15,6 +15,7 @@ and `accumulate` is the one loop that sums coefficients into a dict.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 
@@ -42,6 +43,20 @@ def json_coeff(c):
     """An exact coefficient as a JSON cell: the int, or the string "p/q"."""
     return int(c) if c.denominator == 1 else "%d/%d" % (c.numerator,
                                                         c.denominator)
+
+
+def int_str_limit():
+    """The interpreter's limit on the digits of an int converted to text
+    (sys.get_int_max_str_digits()); 0, also on an interpreter without the
+    limit, means none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def printable(c):
+    """Whether the exact coefficient c converts to text: neither its
+    numerator nor its denominator has more digits than int_str_limit()."""
+    limit = int_str_limit()
+    return not limit or max(abs(c.numerator), c.denominator) < 10 ** limit
 
 
 def from_json_cell(c):

@@ -114,25 +114,14 @@ def format_name(y: Tree) -> str:
 def tree_from_name(entries) -> Tree:
     """Build the tree called [a_1,...,a_n]; raise InvalidName otherwise."""
     entries = tuple(int(a) for a in entries)
-    if entries == (0,) or entries == ():
+    if entries == (0,):
         return LEAF
     if any(a <= 0 for a in entries):
         raise InvalidName("name entries must be positive: %r" % (entries,))
-    return _assemble(entries)
-
-
-def _assemble(seq) -> Tree:
-    if not seq:
-        return LEAF
-    n = len(seq)
-    hits = [p for p, a in enumerate(seq) if a == n]
-    if len(hits) != 1:
-        raise InvalidName(
-            "maximum %d must appear exactly once in %r" % (n, list(seq)))
-    if max(seq) != n:
-        raise InvalidName("maximum of %r must equal its length" % (list(seq),))
-    p = hits[0]
-    return Tree(_assemble(seq[:p]), _assemble(seq[p + 1:]))
+    y = _standardize_to_name(entries)
+    if y.name != entries:
+        raise InvalidName("%r is not the name of a tree" % (list(entries),))
+    return y
 
 
 def parse_name(text: str) -> Tree:
@@ -399,8 +388,8 @@ def _standardize_to_name(seq) -> Tree:
         m = max(seq[lo:hi])
         hits = [p for p in range(lo, hi) if seq[p] == m]
         if len(hits) != 1:
-            raise InvalidName(
-                "maximum not unique in %r" % (list(seq[lo:hi]),))
+            raise InvalidName("maximum %d must appear exactly once in %r"
+                              % (m, list(seq[lo:hi])))
         p = hits[0]
         return Tree(rec(lo, p), rec(p + 1, hi))
 

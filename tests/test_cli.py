@@ -378,7 +378,8 @@ _GRID = {
         ("--op", "left", "a*y^", "x^"), ("--op", "right", "2/0*y^", "x^"),
         ("--op", "left", "x y", "z^"), ("--op", "left", "x^ y^", "z^"),
         ("--op", "left", "", "z^"), ("--op", "up", "x^", "y^"),
-        ("x^", "y^"),
+        ("x^", "y^"), ("--op", "left", "1e5000*x^", "y^"),
+        ("--op", "left", "1e999999999*x^", "y^"),
     ],
     "dend-mul": [
         ("--op", "prec", "([2,1]; x y)", "([1]; z)"),
@@ -394,7 +395,7 @@ _GRID = {
     "zinb-mul": [
         ("x y", "z"), ("--mode", "symmetrized", "x", "y - 3*z"),
         ("x", ""), ("x +", "y"), ("a*x", "y"), ("2/0*x", "y"),
-        ("--mode", "twisted", "x", "y"),
+        ("--mode", "twisted", "x", "y"), ("1e2200*x", "1e2200*y"),
     ],
     "bracket": [
         ("x^", "y^"), ("x^ y", "-1/3*y^"), ("x", "y^"), ("x^", "y^ -"),
@@ -456,6 +457,7 @@ _GRID = {
         ("--term", "([2,1]; x y) - 2*([1,2]; y x)"),
         ("--term", "a*([1]; x)"), ("--term", "([1]; x) -"),
         ("--term", "([1]; x y)"), (),
+        ("--term", "5e4299*([1,3,1]; x x x)"),
     ],
 }
 
@@ -503,6 +505,8 @@ def test_argument_grid(argv, tmp_path, capsys):
     ("zinb-mul", "x", "2/0*y"),
     ("bracket", "x^", "y^ -"),
     ("zinb-map", "--term", "a*([1]; x)"),
+    ("dias-mul", "--op", "left", "1e5000*x^", "y^"),
+    ("dias-mul", "--op", "left", "1e999999999*x^", "y^"),
     ("axioms", "--file", "{directory}"),
     ("halo", "--file", "{not_utf8}"),
     ("assoc", "--file", "{missing}"),
@@ -517,3 +521,15 @@ def test_bad_arguments_and_unreadable_files_are_malformed_input(
     code, out = run_cli(capsys, *(a.format(**files) for a in argv), "--json")
     assert code == 1
     assert json.loads(out)["error"] == "MalformedInput"
+
+
+@pytest.mark.parametrize("argv", [
+    ("zinb-mul", "1e2200*x", "1e2200*y"),
+    ("zinb-map", "--term", "5e4299*([1,3,1]; x x x)"),
+], ids=" ".join)
+def test_results_too_long_to_print_are_too_large(argv, capsys):
+    # each once ended in a ValueError traceback: a result coefficient with
+    # more digits than the interpreter converts to text
+    code, out = run_cli(capsys, *argv, "--json")
+    assert code == 1
+    assert json.loads(out)["error"] == "TooLarge"

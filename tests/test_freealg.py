@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from dialab.errors import UndefinedOnUnit
+from dialab.errors import IndexOutOfRange, UndefinedOnUnit
 from dialab.freealg import (
+    FREE,
     DendTerm,
     MonomialLeaf,
     MonomialNode,
@@ -39,7 +40,8 @@ from dialab.freealg import (
     zinb_mul,
     zinbiel_as_dendriform,
 )
-from dialab.lincomb import Lin
+from dialab.homology import _INDEX_SETS
+from dialab.lincomb import Lin, bilinear, image_pairs
 from dialab.trees import (
     LEAF,
     CHERRY,
@@ -502,6 +504,41 @@ def test_tensor_bracket_antisymmetric_jacobi():
         jac = bracket(x, bracket(y, z)) + bracket(y, bracket(z, x)) + \
             bracket(z, bracket(x, y))
         assert not jac
+
+
+# ---------------------------------------------------------------------------
+# the product tables of the free carriers
+# ---------------------------------------------------------------------------
+
+# the Lin product of each carrier, taking the product's name
+_LIFTS = {
+    "dialgebra": dias_mul,
+    "dendriform": dend_mul,
+    "zinbiel": zinb_mul,
+    "leibniz": lambda a, b, op: leib_bracket_free(a, b),
+}
+
+# the theories whose faces multiply in each carrier
+_FACE_THEORIES = {"dialgebra": ("CY", "CS"), "dendriform": ("CDend",)}
+
+
+@pytest.mark.parametrize("kind", sorted(FREE))
+def test_named_products_of_each_free_carrier(kind):
+    carrier = FREE[kind]
+    terms = [t for n in (1, 2) for t in carrier.basis(["x", "y"], n)]
+    for op, mul in carrier.products.items():
+        for a, b in itertools.product(terms, repeat=2):
+            value = Lin(image_pairs(mul(a, b)))
+            assert Lin(image_pairs(carrier.product(a, b, op))) == value
+            assert _LIFTS[kind](Lin.term(a), Lin.term(b), op) == value
+    a = terms[0]
+    with pytest.raises(IndexOutOfRange):
+        carrier.product(a, a, "nonesuch")
+    with pytest.raises(IndexOutOfRange):
+        bilinear(carrier.product)(Lin.term(a), Lin.term(a), "nonesuch")
+    # a free piece asks its carrier for the products its faces name
+    for theory in _FACE_THEORIES.get(kind, ()):
+        assert set(carrier.products) == set(_INDEX_SETS[theory].symbols)
 
 
 # ---------------------------------------------------------------------------
