@@ -42,8 +42,9 @@ class UnknownPreset(DialabError):
 
 
 class TooLarge(DialabError):
-    """A requested finite algebra exceeds the dimension cap, or a result has
-    a coefficient too long to convert to text."""
+    """A requested finite algebra exceeds the dimension cap, a listing of
+    trees its degree cap, or a result has a coefficient too long to convert
+    to text."""
 
 
 class AxiomFailure(DialabError):

@@ -553,8 +553,14 @@ zinbiel_as_dendriform = bilinear(FreeCarrier(_words, {
 # element grammar (CLI wire format)
 # ---------------------------------------------------------------------------
 
+# a chunk that is so far the mantissa of a number and the e of its exponent
+_MANTISSA = re.compile(r"[0-9_.]*[0-9][0-9_.]*[eE]")
+
+
 def _split_terms(text):
-    """Split a linear combination on top-level +/-, keeping signs."""
+    """Split a linear combination on top-level +/-, keeping signs.  A sign
+    between the e of a number and a digit is the sign of its exponent, so
+    2e-1*x is one term."""
     s = text.strip()
     if not s:
         raise IndexOutOfRange("empty element")
@@ -562,19 +568,20 @@ def _split_terms(text):
     sign = 1
     depth = 0
     cur = ""
-    for ch in s:
+    for k, ch in enumerate(s):
         if ch in "([":
             depth += 1
         elif ch in ")]":
             depth -= 1
-        if depth == 0 and ch in "+-" and cur.strip():
+        if depth or ch not in "+-" or (
+                s[k + 1:k + 2].isdigit() and _MANTISSA.fullmatch(cur.strip())):
+            cur += ch
+        elif cur.strip():
             chunks.append((sign, cur.strip()))
             sign = 1 if ch == "+" else -1
             cur = ""
-        elif depth == 0 and ch in "+-" and not cur.strip():
-            sign = sign * (1 if ch == "+" else -1)
         else:
-            cur += ch
+            sign = sign * (1 if ch == "+" else -1)
     if not cur.strip():
         raise MalformedInput("dangling sign in %r" % (text,))
     chunks.append((sign, cur.strip()))

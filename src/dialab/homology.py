@@ -21,7 +21,8 @@ generator letters); either way the differential, the d^2 check and the
 ranks run on integers.
 
 Betti numbers come from exact ranks over the rationals, taken in one
-ascending sweep that leaves out the rows d o d = 0 already decides
+ascending sweep that leaves out the rows d o d = 0 already decides and reads
+each row it keeps off the cofaces of its term, without assembling a column
 (`ChainComplex.rank`).  The module also houses the contracting homotopy of
 the free-dialgebra complex, the degeneracies supplied by a bar-unit, and the
 comparison chain maps between the theories.
@@ -169,21 +170,24 @@ class ChainComplex:
     in ascending order, and keeps a {packed: position} dict, so `_key` is
     two position lookups and a code decodes by indexing terms[n].  Only
     `diff`, `diff_lin`, `face` and `verify_d_squared`'s message meet the
-    term objects; the faces, the d^2 check and the assembly of columns run
-    on codes.  A term outside the basis raises IndexOutOfRange.  The first
-    differential asked of degree n gives X_n integer tables: per point x
-    and face pair (i, j), the code offset pos(face_i x) * |E_{n-1}|, the
-    powers of B that cut a packed code into head, a_i, middle, a_j and
-    tail, the product and the sign.
+    term objects; the faces, the d^2 check, the assembly of columns and the
+    rows of the rank sweep run on codes.  A term outside the basis raises
+    IndexOutOfRange.  The first column asked of degree n gives X_n integer
+    tables: per point x and face pair (i, j), the code offset
+    pos(face_i x) * |E_{n-1}|, the powers of B that cut a packed code into
+    head, a_i, middle, a_j and tail (made once per pair), the product and
+    the sign.  The rank sweep reads rows instead, off the cofaces of each
+    point of X_{n-1} and the inverted products (`_rows`).
 
     Finite structure constants are stored as integer numerators over one
     common denominator D (`scale`), the lcm of all their denominators; free
     products are integral, with D = 1.  Every face applies exactly one
     product, so the stored differential is exactly D * d.  Hence
     (D d)^2 = D^2 d^2 vanishes exactly when d^2 does and rank(D d) = rank d:
-    the d^2 check and `rank` run in integers on the sparse columns of D * d,
-    which the rank sweep assembles once per degree and drops, and stay
-    exact for rational structure constants, not only integral ones.
+    the d^2 check runs in integers on the sparse columns of D * d and
+    `rank` on its rows, which the sweep reads one at a time and drops, and
+    both stay exact for rational structure constants, not only integral
+    ones.
     `diff`, `diff_lin`, `face` and `matrix` divide by D.
     """
 
@@ -285,13 +289,14 @@ class ChainComplex:
             packed = self._packing(n)[0]
             below, where = self._packing(n - 1) if n > 1 else ((), None)
             pos = self._points_of(n - 1)[1] if n > 1 else {}
-            pairs = ix.pairs(n)
+            # the powers of B and the sign of each pair, made once per pair
+            pairs = [(i, (B ** (n - j), B ** (j - i + 1), B ** (n - i),
+                          B ** (n - 1 - i), B ** (j - i) if j > i + 1 else 0),
+                      -1 if j % 2 else 1) for i, j in ix.pairs(n)]
             table = self._faces[n] = len(packed), packed, [
-                tuple((pos[ix.face(x, i)] * len(below), B ** (n - j),
-                       B ** (j - i + 1), B ** (n - i), B ** (n - 1 - i),
-                       B ** (j - i) if j > i + 1 else 0,
-                       products[ix.symbol(x, i)], -1 if j % 2 else 1)
-                      for i, j in pairs)
+                tuple((pos[ix.face(x, i)] * len(below),) + cuts
+                      + (products[ix.symbol(x, i)], sign)
+                      for i, cuts, sign in pairs)
                 for x in self._points_of(n)[0]], where
         return table
 
@@ -331,17 +336,13 @@ class ChainComplex:
 
     def matrix(self, n):
         """Sparse columns of d_n : C_n -> C_{n-1}, assembled afresh on each
-        call."""
+        call; a code is the row number already."""
         scale = self.scale
+        columns = map(functools.partial(self._idiff, n), range(self.dim(n)))
         if scale == 1:
-            return list(self._assembled(n))
+            return list(columns)
         return [{i: Fraction(c, scale) for i, c in col.items()}
-                for col in self._assembled(n)]
-
-    def _assembled(self, n):
-        """The sparse columns of D * d_n in basis order, each as it is
-        computed.  A code is the row number already."""
-        return map(functools.partial(self._idiff, n), range(self.dim(n)))
+                for col in columns]
 
     def verify_d_squared(self):
         """Check d o d = 0 exactly on every basis term; (D * d)^2 is
@@ -362,6 +363,97 @@ class ChainComplex:
                                          % (n, self._term(n, code)))
         return True
 
+    def _rows(self, n, skip):
+        """The rows of D * d_n whose codes are not in `skip`, in ascending
+        order, each a {column code: coefficient} dict without zeros.
+
+        Row u = (z; e') is read off its cofaces: for each face (pair,
+        symbol) reaching z, the entries e of E_n whose face hits e', placed
+        in the columns of every point of X_n with that face.  The entries
+        depend on the face and e' only, so they are made once per row and
+        face; a skipped row costs one set lookup.
+        """
+        if n < 2:
+            return
+        plans, below, where = self._coface_plans(n)
+        # one int object per column, shared by every row that meets it
+        columns = list(range(self.dim(n)))
+        for z, plan in enumerate(plans):
+            for q, code in enumerate(below):
+                if z * len(below) + q in skip:
+                    continue
+                row = {}
+                get = row.get
+                for cut, inverse, offsets, store in plan:
+                    part = store[q] if store else None
+                    if part is None:
+                        part = _coface_entries(code, cut, inverse,
+                                               self._radix, where)
+                        if store:
+                            store[q] = part
+                    for off in offsets:
+                        for e, k in part:
+                            col = columns[off + e]
+                            row[col] = get(col, 0) + k
+                if 0 in row.values():
+                    row = {col: k for col, k in row.items() if k}
+                yield row
+
+    def _coface_plans(self, n):
+        """Per point z of X_{n-1}, a (cut, inverse, offsets, store) for
+        each face (pair (i, j), symbol) with which some x of X_n has
+        face_i x = z; the packed codes of E_{n-1}; the positions of E_n's.
+
+        `cut` is the pair's powers of B and sign (`_coface_entries`),
+        `offsets` the code offsets pos(x) * |E_n| of the points x.
+        `inverse` sends c to [a * B + b, k, ...], the pairs (a, b) met in
+        E_n at a face with the symbol whose product has k * c among its
+        terms; each (head, a, middle, b, tail) is taken to lie in E_n, as
+        for all tuples (finite sources) and for the tuples of one weight
+        (free pieces).  When the points outnumber the faces, each face
+        reaches many z, and `store`, shared by them, keeps the entries of
+        each e'; else it is empty.
+        """
+        self._require(n)
+        ix, B = self._ix, self._radix
+        packed, where = self._packing(n)
+        below = self._packing(n - 1)[0]
+        pts, pairs, symbols = self._points_of(n)[0], ix.pairs(n), ix.symbols
+        zpos = self._points_of(n - 1)[1]
+        ids = {sym: k for k, sym in enumerate(symbols)}
+        # per face pair: pos(z) * |symbols| + symbol -> the offsets
+        cofaces = []
+        for i, j in pairs:
+            by = defaultdict(list)
+            for k, x in enumerate(pts):
+                by[zpos[ix.face(x, i)] * len(symbols)
+                   + ids[ix.symbol(x, i)]].append(k * len(packed))
+            cofaces.append(by)
+        # per symbol, the packed pairs a * B + b met at its faces in E_n
+        met = defaultdict(set)
+        for (i, j), by in zip(pairs, cofaces):
+            a_w, b_w = B ** (n - i), B ** (n - j)
+            ab = {e // a_w % B * B + e // b_w % B for e in packed}
+            for s in {key % len(symbols) for key in by}:
+                met[s] |= ab
+        inverse = {}
+        for s, abs_ in met.items():
+            inv = inverse[s] = defaultdict(list)
+            for ab in sorted(abs_):
+                for c, k in self._products[symbols[s]](ab):
+                    inv[c] += ab, k
+        keep = len(pts) > len(pairs) * len(symbols)
+        plans = [[] for _ in zpos]
+        for (i, j), by in zip(pairs, cofaces):
+            cut = (B ** (n - j), B ** (j - i - 1) if j > i + 1 else 0,
+                   B ** (n - j + 1), B ** (n - i + 1), B ** (n - i),
+                   -1 if j % 2 else 1)
+            stores = defaultdict(lambda: [None] * len(below) if keep else [])
+            for key in sorted(by):
+                z, s = divmod(key, len(symbols))
+                plans[z].append((cut, inverse[s], tuple(by[key]), stores[s]))
+        return plans, below, where
+
     def rank(self, n):
         """rank d_n, exactly, from one ascending sweep with clearing.
 
@@ -375,7 +467,10 @@ class ChainComplex:
         reduced to zero.  The lemma holds over Q, so also for the integer
         D * d.  The sweep ranks every uncached degree 2..n in order,
         starting from Q_1 = {} (d_1 = 0); it keeps each rank and only the
-        last Q_m, and it drops each transposed d_m once ranked.
+        last Q_m.  The rows of d_m outside Q_{m-1} are read one at a time
+        off their cofaces (`_rows`), in ascending order, so no column of
+        d_m is assembled and the rows in Q_{m-1} are never built; the
+        packing of E_{m-1} is dropped once d_m is ranked.
 
         The precondition d o d = 0 holds for the free pieces and for every
         axiom-checked finite source (`verify_d_squared` certifies it); a
@@ -387,14 +482,10 @@ class ChainComplex:
         m, cleared = self._sweep
         while n not in self._rank_cache:
             m += 1
-            rows = defaultdict(dict)
-            for j, col in enumerate(self._assembled(m)):
-                for i, c in col.items():
-                    if i not in cleared:
-                        rows[i][j] = c
-            ech = Echelon(rows.pop(i) for i in sorted(rows))
+            ech = Echelon(self._rows(m, cleared))
             self._rank_cache[m] = ech.rank
             cleared = frozenset(ech.leads)
+            self._packings.pop(m - 1, None)
         self._sweep = m, cleared
         return self._rank_cache[n]
 
@@ -410,6 +501,31 @@ class ChainComplex:
 
     def betti_table(self, up_to):
         return {n: self.betti(n) for n in range(1, up_to + 1)}
+
+
+def _coface_entries(code, cut, inverse, radix, where):
+    """The (position, sign * k) pairs of the entry tuples e of E_n whose
+    face hits the packed code of e' with coefficient k, for one face pair
+    and symbol of `ChainComplex._rows`: the pair's powers of B cut e' into
+    head, c, middle and tail, and each a * B + b that `inverse` lists under
+    c gives  e = head * B^(n-i+1) + a * B^(n-i) + middle * B^(n-j+1)
+    + b * B^(n-j) + tail."""
+    tail_w, split, mid_w, head_w, a_w, sign = cut
+    hi, tail = divmod(code, tail_w)
+    if split:
+        hi, middle = divmod(hi, split)
+        tail += middle * mid_w
+    head, c = divmod(hi, radix)
+    pairs = inverse.get(c)
+    if pairs is None:
+        return ()
+    base = head * head_w + tail
+    pairs = iter(pairs)
+    if split:
+        return [(where[base + ab // radix * a_w + ab % radix * tail_w],
+                 sign * k) for ab, k in zip(pairs, pairs)]
+    return [(where[base + ab * tail_w], sign * k)
+            for ab, k in zip(pairs, pairs)]
 
 
 def _apply_faces(e, rows, radix, where):

@@ -27,16 +27,21 @@ from .lincomb import accumulate
 
 
 def _int_row(row):
-    """Clear denominators and divide by the content; {} for a zero row."""
-    ints = {k: v for k, v in row.items() if v}
-    if not ints:
-        return {}
-    if not all(type(v) is int for v in ints.values()):
-        items = {k: Fraction(v) for k, v in ints.items()}
+    """Clear denominators and divide by the content; {} for a zero row.
+    The result is a new dict.  An integer row is copied once, and its type,
+    content and zero tests run in C."""
+    values = row.values()
+    if not set(map(type, values)) <= {int}:
+        items = {k: Fraction(v) for k, v in row.items() if v}
         denom = lcm(*(v.denominator for v in items.values()))
-        ints = {k: int(v * denom) for k, v in items.items()}
-    g = gcd(*ints.values())
-    return {k: v // g for k, v in ints.items()} if g > 1 else ints
+        row = {k: int(v * denom) for k, v in items.items()}
+        values = row.values()
+    g = gcd(*values)
+    if not g:
+        return {}
+    if g > 1 or 0 in values:
+        return {k: v // g for k, v in row.items() if v}
+    return dict(row)
 
 
 def _combine(row, piv, k):

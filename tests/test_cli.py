@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from dialab import trees
 from dialab.cli import main
 from dialab.finalg import fixture
 from dialab.homology import build_complex
@@ -34,6 +35,22 @@ def test_tree_count_answers_without_enumerating(capsys):
 def test_tree_enumeration(capsys):
     code, out = run_cli(capsys, "trees", "--n", "2", "--json")
     assert json.loads(out) == {"n": 2, "trees": ["[1,2]", "[2,1]"]}
+
+
+def test_tree_listing_past_degree_eleven_is_too_large(capsys, monkeypatch):
+    # the listing of degree 12 peaked at 140 MB and 13 at 467 MB; it is
+    # refused before a tree is built, while counting stays unlimited
+    listed = []
+    monkeypatch.setattr(trees, "enumerate_trees",
+                        lambda n: listed.append(n) or [])
+    for n in ("12", "40", "10000"):
+        code, out = run_cli(capsys, "trees", "--n", n, "--json")
+        assert code == 1 and json.loads(out)["error"] == "TooLarge"
+    assert listed == []
+    code, out = run_cli(capsys, "trees", "--n", "12", "--count", "--json")
+    assert code == 0 and json.loads(out) == {"n": 12, "count": 208012}
+    code, out = run_cli(capsys, "trees", "--n", "11", "--json")
+    assert code == 0 and listed == [11]
 
 
 def test_tree_editing(capsys):
@@ -364,7 +381,7 @@ _GRID = {
         ("--face", "[2,1]", "--i", "0"), ("--face", "[2,1]", "--i", "9"),
         ("--face", "[0]"), ("--expand", "[2,1]", "--i", "1"),
         ("--expand", "[2,1]", "--i", "-5"),
-        ("--expand", "[2,1]", "--mode", "sideways"),
+        ("--expand", "[2,1]", "--mode", "sideways"), ("--n", "12"),
     ],
     "psi": [
         (), ("--perm", "[3,1,2]"), ("--perm", "[3,1,2]", "--prime"),
@@ -396,6 +413,7 @@ _GRID = {
         ("x y", "z"), ("--mode", "symmetrized", "x", "y - 3*z"),
         ("x", ""), ("x +", "y"), ("a*x", "y"), ("2/0*x", "y"),
         ("--mode", "twisted", "x", "y"), ("1e2200*x", "1e2200*y"),
+        ("2e-1*x", "y"), ("1e-4299*x", "y"),
     ],
     "bracket": [
         ("x^", "y^"), ("x^ y", "-1/3*y^"), ("x", "y^"), ("x^", "y^ -"),
@@ -521,6 +539,22 @@ def test_bad_arguments_and_unreadable_files_are_malformed_input(
     code, out = run_cli(capsys, *(a.format(**files) for a in argv), "--json")
     assert code == 1
     assert json.loads(out)["error"] == "MalformedInput"
+
+
+def test_a_signed_exponent_belongs_to_its_coefficient(capsys):
+    # the sign after the e of 2e-1 used to split the element, so that 2e
+    # was read as a generator and -1 as the coefficient of x
+    for text, coeff in (("2e-1*x", "1/5"), ("2E+1*x", 20), ("5e-0*x", 5)):
+        code, out = run_cli(capsys, "zinb-mul", text, "y", "--json")
+        assert code == 0
+        assert json.loads(out)["result"] == [[coeff, "x y"]]
+    code, out = run_cli(capsys, "zinb-mul", "x - 2e-1*y + z", "w", "--json")
+    assert json.loads(out)["result"] == [
+        [1, "x w"], ["-1/5", "y w"], [1, "z w"]]
+    code, out = run_cli(capsys, "zinb-mul", "1e-4299*x", "y", "--json")
+    assert code == 0
+    [[coeff, term]] = json.loads(out)["result"]
+    assert term == "x y" and coeff == "1/1" + "0" * 4299
 
 
 @pytest.mark.parametrize("argv", [

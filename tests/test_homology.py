@@ -1,5 +1,6 @@
 """Chain complexes, exact Betti numbers, contracting homotopies, chain maps."""
 
+import functools
 import itertools
 import random
 import re
@@ -31,7 +32,7 @@ from dialab.homology import (
     homotopy_free_dialgebra,
     theta_coefficients,
 )
-from dialab.linalg import rank_of_columns
+from dialab.linalg import Echelon, rank_of_columns
 from dialab.lincomb import Lin
 from dialab.trees import (
     Tree,
@@ -257,6 +258,55 @@ def test_free_piece_matrix_is_diff(build):
     for n in range(2, 5):
         _assert_matrix_is_diff(cx, n)
     assert cx.matrix(5) == []
+
+
+def _transposed(cx, n):
+    """The rows of D * d_n, read off the columns of `matrix`."""
+    rows = [{} for _ in range(cx.dim(n - 1))]
+    for j, col in enumerate(cx.matrix(n)):
+        for i, c in col.items():
+            rows[i][j] = c * cx.scale
+    return rows
+
+
+# every theory, CL with its pairs (i, j) that have a middle, a source over a
+# common denominator D > 1, and free pieces with one and with two letters
+_ROW_SOURCES = {
+    "%s(%s)" % (theory, name): functools.partial(
+        build_complex, theory, fixture(name, **params), 5)
+    for theory, name, params in KERNEL_SOURCES}
+_ROW_SOURCES.update({
+    "CY(diff_algebra~)": lambda: build_complex(
+        "CY", _rescaled(fixture("diff_algebra"), _LAM), 4),
+    "CL(free_leibniz<=3~)": lambda: build_complex(
+        "CL", _rescaled(fixture("truncated_free_leibniz"), _LAM), 5),
+    # a bracket with nonzero values at every pair of ids, not only at b = 0
+    "CL(tensor_square)": lambda: build_complex(
+        "CL", leibnizification(fixture("tensor_square")), 4),
+})
+_ROW_SOURCES.update({
+    "free %s dim_v=%d weight %d" % (theory, dim_v, weight): functools.partial(
+        build, dim_v, weight)
+    for theory, build in (("CY", build_cy_free), ("CDend", build_cdend_free))
+    for dim_v, weight in ((1, 6), (2, 4))})
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_SOURCES))
+def test_rows_are_the_transposed_matrix(name):
+    # _rows(n, skip) yields the rows of D * d_n in ascending order, without
+    # the rows in skip: with skip empty, and with skip the leads of the rows
+    # of d_{n-1}, as the rank sweep passes them
+    cx = _ROW_SOURCES[name]()
+    if name.endswith("~)"):
+        assert cx.scale > 1
+    assert list(cx._rows(1, frozenset())) == []
+    leads = frozenset()
+    for n in range(2, cx.n_max + 1):
+        rows = _transposed(cx, n)
+        assert list(cx._rows(n, frozenset())) == rows
+        assert list(cx._rows(n, leads)) == [
+            row for u, row in enumerate(rows) if u not in leads]
+        leads = frozenset(Echelon(rows).leads)
 
 
 def _outside_the_basis():
@@ -830,10 +880,11 @@ _SWEPT = {
 
 @pytest.mark.parametrize("name", sorted(_SWEPT))
 def test_rank_sweep_in_every_call_order(name):
-    # rank sweeps up from degree 2 and skips the rows of d_{n+1} that
-    # d_n o d_{n+1} = 0 decides; each order of asking must give the rank of
-    # the whole matrix of d_n, and the sweep must assemble its own columns
-    # (a fresh complex, never one whose `matrix` was read first)
+    # rank sweeps up from degree 2 and never builds the rows of d_{n+1} that
+    # d_n o d_{n+1} = 0 decides, reading the others off their cofaces; each
+    # order of asking must give the rank of the whole matrix of d_n, and the
+    # sweep must read its rows itself (a fresh complex, never one whose
+    # `matrix` or face tables were built first)
     build, betti = _SWEPT[name]
     ref = build()
     if name.endswith("~)"):
