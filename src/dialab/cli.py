@@ -38,6 +38,10 @@ def _lin_payload(x: Lin, render=str):
 # the largest degree whose trees are listed: a listing takes about 3.4 times
 # the memory of the one below it, 52 MB at degree 11 and 140 MB at degree 12
 _MAX_LISTED_DEGREE = 11
+# the largest degree whose trees are counted: Cat_7152 has 4,300 digits, the
+# most an int converts to text under CPython's default limit, and
+# Cat_7153 has 4,301; the same bound holds on every interpreter
+_MAX_COUNTED_DEGREE = 7152
 
 
 def cmd_trees(args):
@@ -45,6 +49,11 @@ def cmd_trees(args):
         raise UsageError("--count needs --n")
     if args.n is not None:
         if args.count:
+            if args.n > _MAX_COUNTED_DEGREE:
+                raise TooLarge(
+                    "the number of trees of degree %d has more than 4,300 "
+                    "digits; counting is refused above degree %d"
+                    % (args.n, _MAX_COUNTED_DEGREE))
             count = trees.catalan(args.n)
             _emit(args, str(count), {"n": args.n, "count": count})
         else:

@@ -14,8 +14,13 @@ The defining relations of each kind are written once, in RELATIONS, as
 signed monomials; check_axioms evaluates them by brute force over all basis
 triples with exact arithmetic, and operads.preset_quadratic reads its
 relation vectors off the same rows.  Construction fails on a violation
-unless checking is deferred.  The truncated free fixtures read their bases
-and products from freealg.FREE.
+unless checking is deferred.
+
+Every algebra this module constructs, fixture or functor, comes out of one
+builder, _algebra: a list of basis cells, a name for each, and one rule per
+product giving the (cell, coefficient) pairs of a product of two cells.
+The truncated free fixtures read their bases and products from
+freealg.FREE.
 """
 
 from __future__ import annotations
@@ -57,6 +62,11 @@ def max_dimension():
             "DIALAB_MAX_DIM must be an integer, got %r" % (text,)) from None
 
 
+def _refuse_oversize(k):
+    if k > max_dimension():
+        raise TooLarge("dimension %d exceeds cap %d" % (k, max_dimension()))
+
+
 def _require_kind(alg, kind, op):
     if alg.kind != kind:
         raise IncompatibleAlgebras(
@@ -77,9 +87,7 @@ class FiniteAlgebra:
         self.basis = tuple(str(b) for b in basis)
         self.name = name or kind
         k = len(self.basis)
-        if k > max_dimension():
-            raise TooLarge(
-                "dimension %d exceeds cap %d" % (k, max_dimension()))
+        _refuse_oversize(k)
         self.tables = {}
         for prod in PRODUCTS[kind]:
             if prod not in tables:
@@ -258,7 +266,44 @@ def check_axioms(alg: FiniteAlgebra):
 
 
 # ---------------------------------------------------------------------------
-# halos and derived algebras
+# the one builder of finite algebras
+# ---------------------------------------------------------------------------
+
+def _algebra(kind, cells, label, products, name) -> FiniteAlgebra:
+    """The algebra of `kind` on the basis `cells` (hashable), basis element
+    u named label(u), where products[op](u, v) yields the (cell,
+    coefficient) pairs of u op v.  The pairs are summed and the dense table
+    written once; too many cells are refused before any product runs."""
+    cells = list(cells)
+    _refuse_oversize(len(cells))
+    index = {u: t for t, u in enumerate(cells)}
+
+    def dense(pairs):
+        vec = [0] * len(cells)
+        for u, c in accumulate({}, pairs).items():
+            vec[index[u]] = c
+        return vec
+
+    tables = {op: [[dense(rule(u, v)) for v in cells] for u in cells]
+              for op, rule in products.items()}
+    return FiniteAlgebra(kind, map(label, cells), tables, name=name)
+
+
+def _pairs(vec, scale=1):
+    """The (index, coefficient) pairs of scale times a dense vector."""
+    return ((t, scale * c) for t, c in enumerate(vec) if c)
+
+
+def _times(alg, op, xs, ys):
+    """The (index, coefficient) pairs of x op y, for x and y given by their
+    (index, coefficient) pairs; ys is read once for every pair of xs."""
+    for i, a in xs:
+        for j, b in ys:
+            yield from _pairs(alg.mul_basis(op, i, j), a * b)
+
+
+# ---------------------------------------------------------------------------
+# halos
 # ---------------------------------------------------------------------------
 
 class Halo:
@@ -309,40 +354,50 @@ def bar_units(alg: FiniteAlgebra) -> Halo:
     return Halo(*sol)
 
 
+# ---------------------------------------------------------------------------
+# functors
+# ---------------------------------------------------------------------------
+
 def leibnizification(alg: FiniteAlgebra) -> FiniteAlgebra:
     """Bracket table [x, y] = x -| y - y |- x."""
     _require_kind(alg, "dialgebra", "leibnizification")
-    k = alg.dim
-    tab = [
-        [
-            tuple(
-                a - b
-                for a, b in zip(
-                    alg.mul_basis("left", i, j), alg.mul_basis("right", j, i))
-            )
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
-    return FiniteAlgebra(
-        "leibniz", alg.basis, {"bracket": tab}, name=alg.name + "_leib")
+
+    def bracket(i, j):
+        return itertools.chain(_pairs(alg.mul_basis("left", i, j)),
+                               _pairs(alg.mul_basis("right", j, i), -1))
+
+    return _algebra("leibniz", range(alg.dim), alg.basis.__getitem__,
+                    {"bracket": bracket}, alg.name + "_leib")
 
 
 def opposite(alg: FiniteAlgebra) -> FiniteAlgebra:
     """x -|' y = y |- x,  x |-' y = y -| x."""
     _require_kind(alg, "dialgebra", "opposite")
-    k = alg.dim
-    return FiniteAlgebra(
-        "dialgebra",
-        alg.basis,
-        {
-            "left": [[alg.mul_basis("right", j, i) for j in range(k)]
-                     for i in range(k)],
-            "right": [[alg.mul_basis("left", j, i) for j in range(k)]
-                      for i in range(k)],
-        },
-        name=alg.name + "_op",
-    )
+    return _algebra("dialgebra", range(alg.dim), alg.basis.__getitem__, {
+        "left": lambda i, j: _pairs(alg.mul_basis("right", j, i)),
+        "right": lambda i, j: _pairs(alg.mul_basis("left", j, i)),
+    }, alg.name + "_op")
+
+
+def as_dialgebra(alg: FiniteAlgebra, name="") -> FiniteAlgebra:
+    """View an associative algebra as a dialgebra with equal products."""
+    _require_kind(alg, "associative", "as_dialgebra")
+
+    def mul(i, j):
+        return _pairs(alg.mul_basis("mul", i, j))
+
+    return _algebra("dialgebra", range(alg.dim), alg.basis.__getitem__,
+                    {"left": mul, "right": mul}, name or alg.name + "_dias")
+
+
+def as_dendriform(alg: FiniteAlgebra) -> FiniteAlgebra:
+    """View a Zinbiel algebra as a dendriform one: x < y = x.y and
+    x > y = y.x (the finite form of freealg.zinbiel_as_dendriform)."""
+    _require_kind(alg, "zinbiel", "as_dendriform")
+    return _algebra("dendriform", range(alg.dim), alg.basis.__getitem__, {
+        "prec": lambda i, j: _pairs(alg.mul_basis("dot", i, j)),
+        "succ": lambda i, j: _pairs(alg.mul_basis("dot", j, i)),
+    }, alg.name + "_dend")
 
 
 def associativization(alg: FiniteAlgebra):
@@ -355,26 +410,15 @@ def associativization(alg: FiniteAlgebra):
     _require_kind(alg, "dialgebra", "associativization")
     k = alg.dim
     ideal = Echelon()
-    frontier = []
-    for i in range(k):
-        for j in range(k):
-            vec = tuple(
-                a - b
-                for a, b in zip(
-                    alg.mul_basis("left", i, j), alg.mul_basis("right", i, j))
-            )
-            if ideal.add(dict(enumerate(vec))):
-                frontier.append(vec)
-    while frontier:
-        new_frontier = []
-        for v in frontier:
-            for j in range(k):
-                e = alg.unit_vector(j)
-                for prod in ("left", "right"):
-                    for cand in (alg.mul(prod, v, e), alg.mul(prod, e, v)):
-                        if ideal.add(dict(enumerate(cand))):
-                            new_frontier.append(cand)
-        frontier = new_frontier
+    pending = [accumulate(dict(_pairs(alg.mul_basis("left", i, j))),
+                          _pairs(alg.mul_basis("right", i, j)), -1)
+               for i in range(k) for j in range(k)]
+    while pending:
+        frontier = [v for v in pending if ideal.add(v)]
+        pending = [accumulate({}, prod) for v in frontier for j in range(k)
+                   for op in ("left", "right")
+                   for prod in (_times(alg, op, v.items(), ((j, 1),)),
+                                _times(alg, op, ((j, 1),), v.items()))]
 
     rows, pivots = ideal.reduced()
     pivot_set = set(pivots)
@@ -389,254 +433,137 @@ def associativization(alg: FiniteAlgebra):
                     v[j] -= f * c
         return tuple(v[i] for i in keep)
 
-    basis = [alg.basis[i] for i in keep]
-    tab = [
-        [
-            project(alg.mul_basis("left", keep[i], keep[j]))
-            for j in range(len(keep))
-        ]
-        for i in range(len(keep))
-    ]
-    quotient = FiniteAlgebra(
-        "associative", basis, {"mul": tab}, name=alg.name + "_as")
+    quotient = _algebra(
+        "associative", keep, alg.basis.__getitem__,
+        {"mul": lambda i, j: zip(keep, project(alg.mul_basis("left", i, j)))},
+        alg.name + "_as")
     return quotient, project
-
-
-def as_dialgebra(alg: FiniteAlgebra, name="") -> FiniteAlgebra:
-    """View an associative algebra as a dialgebra with equal products."""
-    _require_kind(alg, "associative", "as_dialgebra")
-    k = alg.dim
-    tab = [[alg.mul_basis("mul", i, j) for j in range(k)] for i in range(k)]
-    return FiniteAlgebra(
-        "dialgebra", alg.basis, {"left": tab, "right": tab},
-        name=name or alg.name + "_dias")
 
 
 # ---------------------------------------------------------------------------
 # fixture catalog
 # ---------------------------------------------------------------------------
 
-def _table(dim, pairs_of):
-    """Dense structure constants on a basis of size `dim`: the vector of
-    basis pair (i, j) sums the sparse (index, coefficient) pairs of
-    `pairs_of(i, j)`."""
-
-    def dense(i, j):
-        vec = [0] * dim
-        for t, c in accumulate({}, pairs_of(i, j)).items():
-            vec[t] = c
-        return tuple(vec)
-
-    return [[dense(i, j) for j in range(dim)] for i in range(dim)]
-
-
-def _monoid_algebra_tables(elements, op):
-    idx = {e: i for i, e in enumerate(elements)}
-    return _table(len(elements), lambda i, j: (
-        (idx[op(elements[i], elements[j])], 1),))
-
-
-def cyclic_group(n):
-    """Elements 0..n-1 under addition mod n."""
-    return list(range(n)), lambda a, b: (a + b) % n
-
-
 def _field_algebra() -> FiniteAlgebra:
-    one = ((Fraction(1),),)
-    return FiniteAlgebra(
-        "dialgebra", ["1"], {"left": [[one[0]]], "right": [[one[0]]]},
-        name="ground_field")
+    def one(u, v):
+        return (("1", 1),)
+
+    return _algebra("dialgebra", ["1"], str, {"left": one, "right": one},
+                    "ground_field")
 
 
 def group_algebra(n) -> FiniteAlgebra:
-    els, op = cyclic_group(n)
-    tab = _monoid_algebra_tables(els, op)
-    return FiniteAlgebra(
-        "associative", ["g%d" % e for e in els], {"mul": tab},
-        name="K[C_%d]" % n)
+    """The group algebra of the cyclic group C_n, on g0..g(n-1)."""
+    return _algebra("associative", range(n), "g%d".__mod__,
+                    {"mul": lambda a, b: (((a + b) % n, 1),)}, "K[C_%d]" % n)
 
 
 def monoid_double(n) -> FiniteAlgebra:
-    """Dimonoid M x M with (m,a)(m',a') = (m, a m' a') / (m a m', a')."""
-    els, op = cyclic_group(n)
-    pairs = list(itertools.product(els, els))
-
-    def left(x, y):
-        return (x[0], op(op(x[1], y[0]), y[1]))
-
-    def right(x, y):
-        return (op(op(x[0], x[1]), y[0]), y[1])
-
-    return FiniteAlgebra(
-        "dialgebra",
-        ["(%d,%d)" % p for p in pairs],
-        {
-            "left": _monoid_algebra_tables(pairs, left),
-            "right": _monoid_algebra_tables(pairs, right),
-        },
-        name="double_C_%d" % n,
-    )
+    """Dimonoid M x M with (m,a)(m',a') = (m, a m' a') / (m a m', a'),
+    for M = C_n written additively."""
+    return _algebra(
+        "dialgebra", itertools.product(range(n), repeat=2), "(%d,%d)".__mod__,
+        {"left": lambda x, y: (((x[0], (x[1] + y[0] + y[1]) % n), 1),),
+         "right": lambda x, y: ((((x[0] + x[1] + y[0]) % n, y[1]), 1),)},
+        "double_C_%d" % n)
 
 
 def action_dimonoid(n) -> FiniteAlgebra:
     """Dimonoid X x G for G = C_n acting on itself by translation."""
-    els, op = cyclic_group(n)
-    pairs = list(itertools.product(els, els))
-
-    def left(x, y):
-        return (x[0], op(x[1], y[1]))
-
-    def right(x, y):
-        return (op(x[1], y[0]), op(x[1], y[1]))
-
-    return FiniteAlgebra(
-        "dialgebra",
-        ["(%d;%d)" % p for p in pairs],
-        {
-            "left": _monoid_algebra_tables(pairs, left),
-            "right": _monoid_algebra_tables(pairs, right),
-        },
-        name="action_C_%d" % n,
-    )
+    return _algebra(
+        "dialgebra", itertools.product(range(n), repeat=2), "(%d;%d)".__mod__,
+        {"left": lambda x, y: (((x[0], (x[1] + y[1]) % n), 1),),
+         "right": lambda x, y: ((((x[1] + y[0]) % n, (x[1] + y[1]) % n), 1),)},
+        "action_C_%d" % n)
 
 
 def tensor_square(A: FiniteAlgebra) -> FiniteAlgebra:
     """A (x) A with a(x)b -| a'(x)b' = a (x) b a' b' and the mirror rule."""
     _require_kind(A, "associative", "tensor_square")
-    k = A.dim
-    pairs = list(itertools.product(range(k), range(k)))
-    index = {p: t for t, p in enumerate(pairs)}
-    dim = len(pairs)
 
-    def table(side):
-        def pairs_of(s, t):
-            (a, b), (a2, b2) = pairs[s], pairs[t]
-            if side == "left":
-                prod = A.mul(
-                    "mul", A.mul("mul", A.unit_vector(b), A.unit_vector(a2)),
-                    A.unit_vector(b2))
-                return ((index[(a, c)], coeff)
-                        for c, coeff in enumerate(prod))
-            prod = A.mul(
-                "mul", A.mul("mul", A.unit_vector(a), A.unit_vector(b)),
-                A.unit_vector(a2))
-            return ((index[(c, b2)], coeff) for c, coeff in enumerate(prod))
+    def triple(x, y, z):
+        return _times(A, "mul", _times(A, "mul", ((x, 1),), ((y, 1),)),
+                      ((z, 1),))
 
-        return _table(dim, pairs_of)
-
-    return FiniteAlgebra(
-        "dialgebra",
-        ["%s(x)%s" % (A.basis[a], A.basis[b]) for a, b in pairs],
-        {"left": table("left"), "right": table("right")},
-        name="tensor_square view of " + A.name,
-    )
+    return _algebra(
+        "dialgebra", itertools.product(range(A.dim), repeat=2),
+        lambda u: "%s(x)%s" % (A.basis[u[0]], A.basis[u[1]]),
+        {"left": lambda u, v: (((u[0], c), k)
+                               for c, k in triple(u[1], v[0], v[1])),
+         "right": lambda u, v: (((c, v[1]), k)
+                                for c, k in triple(u[0], u[1], v[0]))},
+        "tensor_square view of " + A.name)
 
 
 def differential_dialgebra(A: FiniteAlgebra, d_matrix) -> FiniteAlgebra:
     """x -| y = x dy, x |- y = dx y for a differential (d^2=0, Leibniz) on A."""
     _require_kind(A, "associative", "differential_dialgebra")
-    k = A.dim
-    d = [tuple(_frac(c) for c in row) for row in d_matrix]
+    d = [[(t, _frac(c)) for t, c in enumerate(row) if c] for row in d_matrix]
 
-    def apply_d(vec):
-        out = [Fraction(0)] * k
-        for i, c in enumerate(vec):
-            if c:
-                for t, w in enumerate(d[i]):
-                    out[t] += c * w
-        return tuple(out)
+    def left(i, j):
+        return _times(A, "mul", ((i, 1),), d[j])
 
-    for i in range(k):
-        if any(apply_d(apply_d(A.unit_vector(i)))):
+    def right(i, j):
+        return _times(A, "mul", d[i], ((j, 1),))
+
+    def apply_d(pairs):
+        return ((s, c * w) for t, c in pairs for s, w in d[t])
+
+    for i in range(A.dim):
+        if accumulate({}, apply_d(d[i])):
             raise AxiomFailure("d^2 != 0 on basis element %d" % i)
-    for i in range(k):
-        for j in range(k):
-            x, y = A.unit_vector(i), A.unit_vector(j)
-            lhs = apply_d(A.mul("mul", x, y))
-            rhs = tuple(
-                a + b
-                for a, b in zip(
-                    A.mul("mul", apply_d(x), y), A.mul("mul", x, apply_d(y))))
-            if lhs != rhs:
+    for i in range(A.dim):
+        for j in range(A.dim):
+            # d(xy) - (dx y + x dy)
+            if accumulate(
+                    accumulate({}, apply_d(_pairs(A.mul_basis("mul", i, j)))),
+                    itertools.chain(left(i, j), right(i, j)), -1):
                 raise AxiomFailure("d is not a derivation at (%d,%d)" % (i, j))
-
-    left = [[A.mul("mul", A.unit_vector(i), apply_d(A.unit_vector(j)))
-             for j in range(k)] for i in range(k)]
-    right = [[A.mul("mul", apply_d(A.unit_vector(i)), A.unit_vector(j))
-              for j in range(k)] for i in range(k)]
-    return FiniteAlgebra(
-        "dialgebra", A.basis, {"left": left, "right": right},
-        name="differential " + A.name)
+    return _algebra("dialgebra", range(A.dim), A.basis.__getitem__,
+                    {"left": left, "right": right}, "differential " + A.name)
 
 
 def upper_triangular_2() -> FiniteAlgebra:
     """The 3-dimensional algebra of upper-triangular 2x2 matrices."""
-    basis = ["e11", "e12", "e22"]
-    units = {"e11": (0, 0), "e12": (0, 1), "e22": (1, 1)}
-
-    def mul(a, b):
-        (i, j), (p, q) = units[a], units[b]
-        return basis[["e11", "e12", "e22"].index("e%d%d" % (i + 1, q + 1))] \
-            if j == p else None
-
-    def pairs_of(i, j):
-        prod = mul(basis[i], basis[j])
-        return () if prod is None else ((basis.index(prod), 1),)
-
-    tab = _table(len(basis), pairs_of)
-    return FiniteAlgebra(
-        "associative", basis, {"mul": tab}, name="upper_triangular_2")
+    return _algebra(
+        "associative", [(0, 0), (0, 1), (1, 1)],
+        lambda u: "e%d%d" % (u[0] + 1, u[1] + 1),
+        {"mul": lambda u, v: (((u[0], v[1]), 1),) if u[1] == v[0] else ()},
+        "upper_triangular_2")
 
 
 def matrix_dialgebra(n, D: FiniteAlgebra) -> FiniteAlgebra:
     """n x n matrices over a dialgebra, entrywise basis (i, j, d)."""
     _require_kind(D, "dialgebra", "matrix_dialgebra")
-    cells = list(itertools.product(range(n), range(n), range(D.dim)))
-    index = {c: t for t, c in enumerate(cells)}
-    dim = len(cells)
-    if dim > max_dimension():
-        raise TooLarge("matrix dialgebra dimension %d over cap" % dim)
 
-    def table(prod):
-        def pairs_of(s, t):
-            (i, kk, a), (k2, j, b) = cells[s], cells[t]
-            if kk != k2:
-                return ()
-            return ((index[(i, j, c)], coeff)
-                    for c, coeff in enumerate(D.mul_basis(prod, a, b)))
+    def entrywise(op):
+        return lambda u, v: (
+            (((u[0], v[1], c), k)
+             for c, k in _pairs(D.mul_basis(op, u[2], v[2])))
+            if u[1] == v[0] else ())
 
-        return _table(dim, pairs_of)
-
-    return FiniteAlgebra(
-        "dialgebra",
-        ["E%d%d.%s" % (i + 1, j + 1, D.basis[a]) for i, j, a in cells],
-        {"left": table("left"), "right": table("right")},
-        name="M_%d(%s)" % (n, D.name),
-    )
+    return _algebra(
+        "dialgebra", itertools.product(range(n), range(n), range(D.dim)),
+        lambda u: "E%d%d.%s" % (u[0] + 1, u[1] + 1, D.basis[u[2]]),
+        {op: entrywise(op) for op in ("left", "right")},
+        "M_%d(%s)" % (n, D.name))
 
 
 def vector_dialgebra(A: FiniteAlgebra, n) -> FiniteAlgebra:
     """A^n with (x -| y)_i = x_i (sum_j y_j), (x |- y)_i = (sum_j x_j) y_i."""
     _require_kind(A, "associative", "vector_dialgebra")
-    cells = list(itertools.product(range(n), range(A.dim)))
-    index = {c: t for t, c in enumerate(cells)}
-    dim = len(cells)
 
-    def table(side):
-        def pairs_of(s, t):
-            (i, a), (j, b) = cells[s], cells[t]
-            prod = A.mul("mul", A.unit_vector(a), A.unit_vector(b))
-            slot = i if side == "left" else j
-            return ((index[(slot, c)], coeff) for c, coeff in enumerate(prod))
+    def at_slot(slot):
+        return lambda u, v: (
+            ((slot(u, v), c), k)
+            for c, k in _pairs(A.mul_basis("mul", u[1], v[1])))
 
-        return _table(dim, pairs_of)
-
-    return FiniteAlgebra(
-        "dialgebra",
-        ["%s@%d" % (A.basis[a], i) for i, a in cells],
-        {"left": table("left"), "right": table("right")},
-        name="%s^%d" % (A.name, n),
-    )
+    return _algebra(
+        "dialgebra", itertools.product(range(n), range(A.dim)),
+        lambda u: "%s@%d" % (A.basis[u[1]], u[0]),
+        {"left": at_slot(lambda u, v: u[0]),
+         "right": at_slot(lambda u, v: v[0])},
+        "%s^%d" % (A.name, n))
 
 
 # -- truncated free algebras ------------------------------------------------
@@ -645,23 +572,15 @@ def truncated_free(kind, dim_v, maxdeg) -> FiniteAlgebra:
     """The free algebra freealg.FREE[kind] on dim_v letters, modulo the
     terms of degree above maxdeg, on freealg.numbered_basis."""
     carrier = freealg.FREE[kind]
-    basis = freealg.numbered_basis(kind, dim_v, maxdeg)
-    index = {w: i for i, w in enumerate(basis)}
 
-    def table(op):
-        def pairs_of(i, j):
-            a, b = basis[i], basis[j]
-            if len(a) + len(b) > maxdeg:
-                return ()
-            return ((index[t], c)
-                    for t, c in image_pairs(carrier.product(a, b, op)))
+    def truncated(op):
+        return lambda a, b: () if len(a) + len(b) > maxdeg else image_pairs(
+            carrier.product(a, b, op))
 
-        return _table(len(basis), pairs_of)
-
-    return FiniteAlgebra(
-        kind, [str(w) for w in basis],
-        {op: table(op) for op in PRODUCTS[kind]},
-        name="free_%s(%d)<=%d" % (kind, dim_v, maxdeg))
+    return _algebra(
+        kind, freealg.numbered_basis(kind, dim_v, maxdeg), str,
+        {op: truncated(op) for op in PRODUCTS[kind]},
+        "free_%s(%d)<=%d" % (kind, dim_v, maxdeg))
 
 
 FIXTURES = {

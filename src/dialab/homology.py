@@ -893,7 +893,7 @@ def contraction_by_elimination(cx: ChainComplex):
     h_{n-1}, the residual g = id - h_{n-1} d lies in the image of d_{n+1}
     (this is exactness), and h_n(term) is the preimage of g(term) whose
     free coordinates are zero, read off a FactoredSolver built once per
-    degree on the cached sparse columns of d_{n+1}.  Works at any weight,
+    degree on the fresh columns of d_{n+1} from `matrix`.  Works at any weight,
     unlike the combinatorial five-case operator whose validity boundary is
     documented above; the price is that the values are basis-dependent.
     """

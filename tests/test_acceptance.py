@@ -12,7 +12,7 @@ from fractions import Fraction
 
 
 from dialab.finalg import (
-    FiniteAlgebra,
+    as_dendriform,
     check_axioms,
     fixture,
     leibnizification,
@@ -180,7 +180,7 @@ def test_criterion_04_d_squared_all_theories_all_fixtures():
         checked += 1
     for theory, alg in [
         ("CDend", fixture("truncated_free_dendriform", dim_v=1, maxdeg=2)),
-        ("CDend", _zinb_as_dend(fixture("truncated_free_zinbiel",
+        ("CDend", as_dendriform(fixture("truncated_free_zinbiel",
                                         dim_v=1, maxdeg=3))),
         ("CL", fixture("truncated_free_leibniz", dim_v=1, maxdeg=3)),
         ("CL", leibnizification(fixture("tensor_square"))),
@@ -191,15 +191,6 @@ def test_criterion_04_d_squared_all_theories_all_fixtures():
         checked += 1
     report(4, "d o d = 0 exactly through degree 5 for %d theory/fixture "
               "pairs across all five theories" % checked)
-
-
-def _zinb_as_dend(R):
-    k = R.dim
-    prec = [[R.mul_basis("dot", i, j) for j in range(k)] for i in range(k)]
-    succ = [[R.mul_basis("dot", j, i) for j in range(k)] for i in range(k)]
-    return FiniteAlgebra("dendriform", R.basis,
-                         {"prec": prec, "succ": succ},
-                         name=R.name + "_dend")
 
 
 def test_criterion_05_free_complex_contracts():
@@ -269,7 +260,7 @@ def test_criterion_08_chain_maps_and_identities():
             assert lhs == rhs
     # theta on a truncated free half-shuffle algebra
     R = fixture("truncated_free_zinbiel", dim_v=1, maxdeg=4)
-    cd = build_complex("CDend", _zinb_as_dend(R), 4)
+    cd = build_complex("CDend", as_dendriform(R), 4)
     cz = build_complex("CZinb", R, 4)
     for n in range(2, 5):
         for r in range(1, n + 1):

@@ -32,6 +32,20 @@ def test_tree_count_answers_without_enumerating(capsys):
     assert code == 1 and json.loads(out)["error"] == "IndexOutOfRange"
 
 
+def test_tree_count_past_4300_digits_is_too_large(capsys, monkeypatch):
+    # Cat_7152 has 4,300 digits and Cat_7153 has 4,301; the refusal is
+    # decided from N before anything is computed
+    assert 10 ** 4299 <= trees.catalan(7152) < 10 ** 4300 <= trees.catalan(
+        7153)
+    code, out = run_cli(capsys, "trees", "--n", "7152", "--count", "--json")
+    assert code == 0
+    assert json.loads(out) == {"n": 7152, "count": trees.catalan(7152)}
+    monkeypatch.setattr(trees, "catalan", lambda n: pytest.fail(str(n)))
+    for n in ("7153", "10000", "100000000"):
+        code, out = run_cli(capsys, "trees", "--n", n, "--count", "--json")
+        assert code == 1 and json.loads(out)["error"] == "TooLarge"
+
+
 def test_tree_enumeration(capsys):
     code, out = run_cli(capsys, "trees", "--n", "2", "--json")
     assert json.loads(out) == {"n": 2, "trees": ["[1,2]", "[2,1]"]}
@@ -39,7 +53,7 @@ def test_tree_enumeration(capsys):
 
 def test_tree_listing_past_degree_eleven_is_too_large(capsys, monkeypatch):
     # the listing of degree 12 peaked at 140 MB and 13 at 467 MB; it is
-    # refused before a tree is built, while counting stays unlimited
+    # refused before a tree is built, while counting goes on to degree 7152
     listed = []
     monkeypatch.setattr(trees, "enumerate_trees",
                         lambda n: listed.append(n) or [])
@@ -382,6 +396,7 @@ _GRID = {
         ("--face", "[0]"), ("--expand", "[2,1]", "--i", "1"),
         ("--expand", "[2,1]", "--i", "-5"),
         ("--expand", "[2,1]", "--mode", "sideways"), ("--n", "12"),
+        ("--n", "10000", "--count"), ("--n", "100000000", "--count"),
     ],
     "psi": [
         (), ("--perm", "[3,1,2]"), ("--perm", "[3,1,2]", "--prime"),

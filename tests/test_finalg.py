@@ -1,14 +1,22 @@
 """Structure-constant algebras: axioms, fixtures, halos, quotients."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from dialab.errors import AxiomFailure, TooLarge, UnknownFixture
+from dialab import finalg
+from dialab.errors import (
+    AxiomFailure,
+    IncompatibleAlgebras,
+    TooLarge,
+    UnknownFixture,
+)
 from dialab.finalg import (
     FIXTURES,
     PRODUCTS,
     FiniteAlgebra,
+    as_dendriform,
     as_dialgebra,
     associativization,
     bar_units,
@@ -115,6 +123,23 @@ def test_dimension_cap(monkeypatch):
     assert fixture("tensor_square").dim == 4
 
 
+def test_oversize_algebra_is_refused_before_any_product(monkeypatch):
+    calls = []
+
+    def counted(u, v):
+        calls.append((u, v))
+        return ((u, 1),)
+
+    monkeypatch.setenv("DIALAB_MAX_DIM", "3")
+    with pytest.raises(TooLarge):
+        finalg._algebra("associative", range(4), str, {"mul": counted}, "x")
+    assert calls == []
+    # the tensor square of C_9 has 81 cells, over the default cap of 64
+    monkeypatch.delenv("DIALAB_MAX_DIM")
+    with pytest.raises(TooLarge):
+        fixture("tensor_square", n=9)
+
+
 def test_unknown_fixture():
     with pytest.raises(UnknownFixture):
         fixture("no_such_thing")
@@ -158,6 +183,88 @@ def test_opposite_is_an_involution():
     for name in ("tensor_square", "diff_algebra", "monoid_double"):
         alg = fixture(name)
         assert opposite(opposite(alg)) == alg
+
+
+def test_as_dendriform_reads_the_zinbiel_product_both_ways():
+    R = fixture("truncated_free_zinbiel", dim_v=2, maxdeg=3)
+    E = as_dendriform(R)
+    assert E.kind == "dendriform" and E.name == R.name + "_dend"
+    assert E.basis == R.basis and check_axioms(E) == "pass"
+    for i in range(R.dim):
+        for j in range(R.dim):
+            assert E.mul_basis("prec", i, j) == R.mul_basis("dot", i, j)
+            assert E.mul_basis("succ", i, j) == R.mul_basis("dot", j, i)
+    with pytest.raises(IncompatibleAlgebras):
+        as_dendriform(fixture("field"))
+
+
+# sha256 of to_json() + name, computed before the fixtures and functors were
+# put on one builder; a change to any table, basis name or algebra name of
+# these shows here
+_PINNED = [
+    ("field", lambda: fixture("field"),
+     "695d02bb0c1ca898a9e08c8215d0f2737d5016c1d1b8fe1e7542bd686407a036"),
+    ("monoid_algebra", lambda: fixture("monoid_algebra"),
+     "032064ddb69f0afe5ec594e339736c41c91352ed964e83f90dbb597db8e44e1a"),
+    ("monoid_double", lambda: fixture("monoid_double"),
+     "38e0d5dfad2cf20ab268c9d44d752b17ca176f3cca1bbe947ffe058a36e72c81"),
+    ("action_dimonoid", lambda: fixture("action_dimonoid"),
+     "46d3014cbfd53441b2a556ae51051bc7dd7b7f93294103dc2a0272992780aa27"),
+    ("tensor_square", lambda: fixture("tensor_square"),
+     "3a4713d3dfea78fb24058dadc9ac93e1dc1f6c867d9b7357638e88e9c3b68177"),
+    ("diff_algebra", lambda: fixture("diff_algebra"),
+     "6d0757df917bbe9a18d8f6dc6550962458789767638208e4542123ac303f68bb"),
+    ("matrix_dialgebra", lambda: fixture("matrix_dialgebra"),
+     "a1cd3291ab864fbd137f02e1b4fc267b8fa5cb4cf640428f32c1f4ac3c3ee243"),
+    ("vector_dialgebra", lambda: fixture("vector_dialgebra"),
+     "ba21539e332fea23f549526e0499a57c440c59ce085c40d707490e4ef8faa1e5"),
+    ("truncated_free_dialgebra", lambda: fixture("truncated_free_dialgebra"),
+     "c4308bd1f0ff438e50bc85a25a7fdc860a34665a357cf2eff529e3a579793cb7"),
+    ("truncated_free_dendriform",
+     lambda: fixture("truncated_free_dendriform"),
+     "b5cf93799f11f51c0e850ca620c0de36188490f085ce7037dbdf6ac35d3a9d80"),
+    ("truncated_free_zinbiel", lambda: fixture("truncated_free_zinbiel"),
+     "d218863a149a4d0a732ce56e1aeb7e01728b163cd34003179573ea60fe27bac3"),
+    ("truncated_free_leibniz", lambda: fixture("truncated_free_leibniz"),
+     "e41e7f1f3183cd596186048a26a27498851d9c7635aba9f32aafc627b098c75d"),
+    ("monoid_double n=3", lambda: fixture("monoid_double", n=3),
+     "ffb94a72c6b2152495b9053d3e80873fee5bcad8719c8b903ffd25a4660dbbdd"),
+    ("action_dimonoid n=3", lambda: fixture("action_dimonoid", n=3),
+     "ff923f8c7af5c0064260db3704c09b54d9064a5aad5b19ccece0acb9d7406ed6"),
+    ("tensor_square n=3", lambda: fixture("tensor_square", n=3),
+     "16c21df44c1987b17c9bc02152b24ceb9ba5177f5b8c62bfafba261a4af63126"),
+    ("matrix_dialgebra base=monoid_double",
+     lambda: fixture("matrix_dialgebra", base="monoid_double"),
+     "e631627694f4986b46dce15554c7b21ebb1dcd976b8e58af000e4c9fb43a9150"),
+    ("vector_dialgebra n=3 base=3",
+     lambda: fixture("vector_dialgebra", n=3, base=3),
+     "f63375c0e55800c043be2f3bc427b4c18315dc81eca7515ea45bc91e3703bf98"),
+    ("truncated_free_dialgebra dim_v=2 maxdeg=2",
+     lambda: fixture("truncated_free_dialgebra", dim_v=2, maxdeg=2),
+     "6cdb44907b912fe90c9cc2ba25c09a38587b25058332d03c646fcc5861dcf697"),
+    ("truncated_free_dendriform maxdeg=3",
+     lambda: fixture("truncated_free_dendriform", dim_v=1, maxdeg=3),
+     "79779bdce331ab71f0a7b44d4b57cf16526bc43346f4a194d310058481daff0b"),
+    ("leibnizification of tensor_square",
+     lambda: leibnizification(fixture("tensor_square")),
+     "6fb5ab370470a5759e8592882b84b1b7ea38c00fa970c0e51a3fa27ea1c1de1e"),
+    ("opposite of action_dimonoid",
+     lambda: opposite(fixture("action_dimonoid")),
+     "beaa713ca3d6a7e548e0256cf6ccfe54416d78ce3bb579e53e470b02d437ca7d"),
+    ("as_dialgebra of K[C_3]", lambda: as_dialgebra(group_algebra(3)),
+     "55ab7dad17a90cc6ac1296331d262326342a049bb5070bb74a15a5ea2b571d05"),
+    ("associativization of truncated_free_dialgebra",
+     lambda: associativization(fixture("truncated_free_dialgebra"))[0],
+     "f528c9a020b9de0558811ad6bd3c9f89a1ef49c829badaca8928873990955869"),
+]
+
+
+@pytest.mark.parametrize("build, digest", [
+    pytest.param(build, digest, id=label) for label, build, digest in _PINNED])
+def test_tables_and_names_are_pinned(build, digest):
+    alg = build()
+    text = alg.to_json() + alg.name
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

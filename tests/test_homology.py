@@ -13,7 +13,13 @@ from dialab.errors import (
     IndexOutOfRange,
     UnsupportedTheoryForSource,
 )
-from dialab.finalg import FiniteAlgebra, bar_units, fixture, leibnizification
+from dialab.finalg import (
+    FiniteAlgebra,
+    as_dendriform,
+    bar_units,
+    fixture,
+    leibnizification,
+)
 from dialab.freealg import DendTerm, PointedWord, dend_mul, dias_term
 from dialab.homology import (
     ad_homotopy,
@@ -47,15 +53,6 @@ from dialab.trees import (
     parse_permutation,
     perm_face,
 )
-
-
-def zinbiel_as_dendriform_algebra(R):
-    k = R.dim
-    prec = [[R.mul_basis("dot", i, j) for j in range(k)] for i in range(k)]
-    succ = [[R.mul_basis("dot", j, i) for j in range(k)] for i in range(k)]
-    return FiniteAlgebra("dendriform", R.basis,
-                         {"prec": prec, "succ": succ},
-                         name=R.name + "_dend")
 
 
 DIALGEBRA_FIXTURES = [
@@ -92,7 +89,7 @@ def test_d_squared_zero_other_theories():
         5).verify_d_squared()
     build_complex(
         "CDend",
-        zinbiel_as_dendriform_algebra(
+        as_dendriform(
             fixture("truncated_free_zinbiel", dim_v=1, maxdeg=3)),
         5).verify_d_squared()
     build_complex(
@@ -521,7 +518,7 @@ def test_simplicial_face_relations_on_chains():
 
 def test_simplicial_face_relations_on_cdend_chains():
     for alg in (fixture("truncated_free_dendriform", dim_v=1, maxdeg=2),
-                zinbiel_as_dendriform_algebra(
+                as_dendriform(
                     fixture("truncated_free_zinbiel", dim_v=1, maxdeg=2))):
         k = alg.dim
         cx = build_complex("CDend", alg, 4)
@@ -1075,7 +1072,7 @@ def test_theta_values_and_chain_map():
         (sn, cn), = theta_coefficients(n, n)
         assert sn.values == tuple(range(n, 0, -1)) and abs(cn) == 1
     R = fixture("truncated_free_zinbiel", dim_v=1, maxdeg=4)
-    E = zinbiel_as_dendriform_algebra(R)
+    E = as_dendriform(R)
     cd = build_complex("CDend", E, 4)
     cz = build_complex("CZinb", R, 4)
     for n in range(2, 5):
