@@ -40,7 +40,7 @@ def _lin_payload(x: Lin, render=str):
 _MAX_LISTED_DEGREE = 11
 # the largest degree whose trees are counted: Cat_7152 has 4,300 digits, the
 # most an int converts to text under CPython's default limit, and
-# Cat_7153 has 4,301; the same bound holds on every interpreter
+# Cat_7153 has 4,301; a count past a lower limit is refused once computed
 _MAX_COUNTED_DEGREE = 7152
 
 
@@ -55,6 +55,11 @@ def cmd_trees(args):
                     "digits; counting is refused above degree %d"
                     % (args.n, _MAX_COUNTED_DEGREE))
             count = trees.catalan(args.n)
+            if not printable(count):
+                raise TooLarge(
+                    "the number of trees of degree %d has more digits than "
+                    "this interpreter converts to text (%d)"
+                    % (args.n, int_str_limit()))
             _emit(args, str(count), {"n": args.n, "count": count})
         else:
             if args.n > _MAX_LISTED_DEGREE:
@@ -212,7 +217,7 @@ def cmd_homology(args):
         # one-letter piece (FreePiece); a k below 1 is passed on for its error
         source = ("free", min(args.dimv, 1))
         cx = homology.build_complex(
-            args.theory, source, args.max_degree, weight=args.weight)
+            args.theory, source, args.max_degree + 1, weight=args.weight)
         betti = cx.betti_table(min(args.max_degree, args.weight))
         copies = args.dimv ** args.weight
         payload = {

@@ -69,32 +69,25 @@ from .trees import (
     product_symbol,
 )
 
-THEORIES = ("CY", "CS", "CDend", "CL", "CZinb")
-
-_THEORY_KIND = {
-    "CY": "dialgebra",
-    "CS": "dialgebra",
-    "CDend": "dendriform",
-    "CL": "leibniz",
-    "CZinb": "zinbiel",
-}
-
 
 class IndexSet(NamedTuple):
-    """The index sets X_n of a chain complex and the faces of its degree n.
+    """One theory: the index sets X_n of its chain complex, the faces of
+    degree n, and the algebra kind its coefficients must have.
 
     `points(n)` lists X_n in basis order and `pairs(n)` the faces of degree
     n as pairs (i, j), i < j: the adjacent pairs (i, i+1) by default, every
     pair for the Leibniz complex.  `face(x, i)` is the face of x (an element
     of X_{n-1}) under the face whose pair starts at i, and `symbol(x, i)`
-    names the product that face applies, one of `symbols`.  A bare index set
-    is a single point and its terms are bare entry tuples.
+    names the product that face applies, one of `symbols`, a product of
+    `kind` (finalg.PRODUCTS) or star.  A bare index set is a single point
+    and its terms are bare entry tuples.
     """
 
     points: Callable
     face: Callable
     symbol: Callable
     symbols: tuple
+    kind: str
     bare: bool = False
     pairs: Callable = lambda n: [(i, i + 1) for i in range(1, n)]
 
@@ -123,21 +116,23 @@ def _level_side(s, i):
 # this module's names sees every call
 _INDEX_SETS = {
     "CY": IndexSet(lambda n: enumerate_trees(n), face, product_symbol,
-                   (LEFT, RIGHT)),
+                   (LEFT, RIGHT), "dialgebra"),
     "CS": IndexSet(lambda n: all_permutations(n), perm_face, _level_side,
-                   (LEFT, RIGHT)),
+                   (LEFT, RIGHT), "dialgebra"),
     "CDend": IndexSet(lambda n: range(1, n + 1),
                       lambda r, i: cdend_face_index(i, r),
                       lambda r, i: cdend_symbol(i, r),
-                      ("prec", "succ", "star")),
+                      ("prec", "succ", "star"), "dendriform"),
     "CL": IndexSet(lambda n: (None,), lambda x, i: None,
-                   lambda x, i: "bracket", ("bracket",), bare=True,
-                   pairs=lambda n: [(i, j) for j in range(2, n + 1)
-                                    for i in range(1, j)]),
+                   lambda x, i: "bracket", ("bracket",), "leibniz",
+                   bare=True, pairs=lambda n: [(i, j) for j in range(2, n + 1)
+                                               for i in range(1, j)]),
     "CZinb": IndexSet(lambda n: (None,), lambda x, i: None,
                       lambda x, i: "dot" if i == 1 else "star",
-                      ("dot", "star"), bare=True),
+                      ("dot", "star"), "zinbiel", bare=True),
 }
+
+THEORIES = tuple(_INDEX_SETS)
 
 
 class ChainComplex:
@@ -191,11 +186,9 @@ class ChainComplex:
     `diff`, `diff_lin`, `face` and `matrix` divide by D.
     """
 
-    def __init__(self, theory, basis, products, entries, n_max, scale=1,
-                 label=""):
+    def __init__(self, theory, basis, products, entries, n_max, scale=1):
         self.theory = theory
         self.n_max = max(n_max, 0)
-        self.label = label
         self.scale = scale
         self._ix = ix = _INDEX_SETS[theory]
         self._radix = len(basis)
@@ -582,37 +575,36 @@ def _finite(theory, alg, n_max):
     basis = range(alg.dim)
     return ChainComplex(
         theory, basis, products,
-        lambda n: itertools.product(basis, repeat=n), n_max, scale,
-        label="%s(%s)" % (theory, alg.name))
+        lambda n: itertools.product(basis, repeat=n), n_max, scale)
 
 
 def build_complex(theory, source, n_max, weight=None):
-    """Chain complex of a finite or free algebra.
+    """Chain complex of a finite or free algebra in degrees 1..n_max.
 
-    For a FiniteAlgebra source every theory matching the algebra kind is
-    available.  For free sources pass source=("free", dim_v) together with
-    `weight`; this builds the single weight-homogeneous piece (supported for
-    CY and CDend, where the vanishing theorems live).
+    For a FiniteAlgebra source every theory whose `_INDEX_SETS` kind is the
+    algebra's kind is available.  For free sources pass
+    source=("free", dim_v) together with `weight`; this builds the single
+    weight-homogeneous piece in degrees 1..min(n_max, weight), above which
+    it is zero (supported for CY and CDend, where the vanishing theorems
+    live).
     """
     if isinstance(source, FiniteAlgebra):
-        want = _THEORY_KIND.get(theory)
-        if want is None:
+        ix = _INDEX_SETS.get(theory)
+        if ix is None:
             raise UnsupportedTheoryForSource("unknown theory %r" % (theory,))
-        if source.kind != want:
+        if source.kind != ix.kind:
             raise UnsupportedTheoryForSource(
-                "%s needs a %s source, got %s" % (theory, want, source.kind))
+                "%s needs a %s source, got %s" % (theory, ix.kind,
+                                                  source.kind))
         return _finite(theory, source, n_max)
     if isinstance(source, tuple) and source and source[0] == "free":
         if weight is None:
             raise UnsupportedTheoryForSource(
                 "free sources need an explicit weight")
-        dim_v = source[1]
-        if theory == "CY":
-            return build_cy_free(dim_v, weight)
-        if theory == "CDend":
-            return build_cdend_free(dim_v, weight)
-        raise UnsupportedTheoryForSource(
-            "free pieces are supported for CY and CDend only")
+        if theory not in ("CY", "CDend"):
+            raise UnsupportedTheoryForSource(
+                "free pieces are supported for CY and CDend only")
+        return FreePiece(theory, source[1], weight, n_max)
     raise UnsupportedTheoryForSource("unusable source %r" % (source,))
 
 
@@ -659,9 +651,10 @@ def _id_tuples(by_length, weight, n):
 class FreePiece(ChainComplex):
     """The weight-w piece of the chain complex of the free algebra on
     dim_v generators, freealg.FREE of the theory's algebra kind (free
-    dialgebra for CY, free dendriform algebra for CDend): terms
-    (x; w_1..w_n) with x in X_n and words w_i whose lengths sum to w,
-    ordered by x and then by the words.
+    dialgebra for CY, free dendriform algebra for CDend), in degrees
+    1..min(n_max, w): terms (x; w_1..w_n) with x in X_n and words w_i whose
+    lengths sum to w, ordered by x and then by the words.  The piece is zero
+    above degree w, so n_max >= w gives all of it.
 
     The piece hands ChainComplex the words of lengths 1..w, numbered in
     sort order (freealg.numbered_basis), as its basis; the id tuples whose
@@ -679,31 +672,30 @@ class FreePiece(ChainComplex):
     over the dim_v^w letter sequences, of the subcomplexes spanned by the
     terms with that sequence, and each of them is the dim_v = 1 piece with
     its single letter renamed letter by letter.  Hence
-    rank d_n = dim_v^w * rank d_n(dim_v = 1); the dim_v = 1 piece is built
-    on the first `rank` call.  `terms`, `diff` and `matrix` still describe
-    the full piece.
+    rank d_n = dim_v^w * rank d_n(dim_v = 1); the dim_v = 1 piece, with
+    the same degrees, is built on the first `rank` call.  `terms`, `diff`
+    and `matrix` still describe the full piece.
     """
 
-    def __init__(self, theory, dim_v, weight):
+    def __init__(self, theory, dim_v, weight, n_max):
         if dim_v < 1 or weight < 1:
             raise DegreeOutOfRange(
                 "free pieces need dim_v >= 1 and weight >= 1, got dim_v=%d, "
                 "weight=%d" % (dim_v, weight))
-        kind = _THEORY_KIND[theory]
-        words = freealg.numbered_basis(kind, dim_v, weight)
+        ix = _INDEX_SETS[theory]
+        words = freealg.numbered_basis(ix.kind, dim_v, weight)
         # the words of each length are consecutive, so their ids form a range
         lengths = [len(w) for w in words]
         by_length = [range(bisect_left(lengths, l), bisect_right(lengths, l))
                      for l in range(weight + 1)]
         ids = {w: i for i, w in enumerate(words)}
-        product = freealg.FREE[kind].product
+        product = freealg.FREE[ix.kind].product
         super().__init__(
             theory, words,
             {sym: _WordProducts(product, sym, words, ids).__getitem__
-             for sym in _INDEX_SETS[theory].symbols},
-            functools.partial(_id_tuples, by_length, weight), weight,
-            label="%s(free %s dim V=%d), weight %d"
-                  % (theory, kind, dim_v, weight))
+             for sym in ix.symbols},
+            functools.partial(_id_tuples, by_length, weight),
+            min(n_max, weight))
         self.dim_v = dim_v
         self.weight = weight
         self._multilinear = None
@@ -712,18 +704,19 @@ class FreePiece(ChainComplex):
         if self.dim_v == 1:
             return super().rank(n)
         if self._multilinear is None:
-            self._multilinear = FreePiece(self.theory, 1, self.weight)
+            self._multilinear = FreePiece(self.theory, 1, self.weight,
+                                          self.n_max)
         return self.dim_v ** self.weight * self._multilinear.rank(n)
 
 
 def build_cy_free(dim_v, weight) -> ChainComplex:
     """Weight-homogeneous piece of the free-dialgebra complex."""
-    return FreePiece("CY", dim_v, weight)
+    return FreePiece("CY", dim_v, weight, weight)
 
 
 def build_cdend_free(dim_v, weight) -> ChainComplex:
     """Weight-homogeneous piece of the free-dendriform complex."""
-    return FreePiece("CDend", dim_v, weight)
+    return FreePiece("CDend", dim_v, weight, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -893,7 +886,9 @@ def contraction_by_elimination(cx: ChainComplex):
     h_{n-1}, the residual g = id - h_{n-1} d lies in the image of d_{n+1}
     (this is exactness), and h_n(term) is the preimage of g(term) whose
     free coordinates are zero, read off a FactoredSolver built once per
-    degree on the fresh columns of d_{n+1} from `matrix`.  Works at any weight,
+    degree on the rows of D * d_{n+1} that the rank sweep reads (`_rows`),
+    or on dim(n) empty rows at the top degree, where d_{n+1} = 0.  A
+    solution x of D d x = g gives h_n(term) = D x.  Works at any weight,
     unlike the combinatorial five-case operator whose validity boundary is
     documented above; the price is that the values are basis-dependent.
     """
@@ -903,7 +898,9 @@ def contraction_by_elimination(cx: ChainComplex):
 
     for n in range(1, cx.n_max + 1):
         cols = cx.terms.get(n + 1, ())
-        solver = FactoredSolver(cx.matrix(n + 1), cx.dim(n))
+        rows = list(cx._rows(n + 1, ())) if cols else [
+            {} for _ in range(cx.dim(n))]
+        solver = FactoredSolver(rows, len(cols))
         for term in cx.terms[n]:
             g = Lin.term(term)
             if n >= 2:
@@ -911,7 +908,7 @@ def contraction_by_elimination(cx: ChainComplex):
             x = solver.solve({cx._key(n, u): c for u, c in g.data.items()})
             if x is None:
                 raise AssertionError("complex is not exact at degree %d" % n)
-            h[n][term] = Lin({cols[j]: c for j, c in x.items()})
+            h[n][term] = Lin({cols[j]: c * cx.scale for j, c in x.items()})
     return h
 
 

@@ -113,11 +113,6 @@ class Echelon:
                 for p in pivots], pivots
 
 
-def rank_of_rows(rows):
-    """Rank of the span of sparse rational rows, exactly."""
-    return Echelon(rows).rank
-
-
 def rank_of_columns(cols, nrows=None):
     """Rank of a matrix given as sparse columns; transposes to rows first
     when that side is smaller."""
@@ -126,9 +121,8 @@ def rank_of_columns(cols, nrows=None):
         return 0
     if nrows is None:
         nrows = 1 + max(k for c in cols for k in c)
-    if len(cols) <= nrows:
-        return rank_of_rows(cols)
-    return rank_of_rows(_transpose(cols, nrows))
+    return Echelon(cols if len(cols) <= nrows
+                   else _transpose(cols, nrows)).rank
 
 
 def _transpose(cols, nrows):
@@ -214,22 +208,22 @@ def in_row_space(rows, vec):
 class FactoredSolver:
     """Reusable exact solver for A x = b with many right-hand sides.
 
-    A is given by its sparse columns and its number of rows.  The
-    augmented rows [A | I] are reduced once; the identity block then holds
-    the row transform T, and a solve is the sparse product T b.  Pivots
-    inside the A-block give the coordinates of the solution whose free
-    coordinates are zero; pivots in the identity block mark the rows of
-    T b that must vanish for the system to be consistent.
+    A is given by the list of its sparse rows {column: value} and its
+    number of columns.  The augmented rows [A | I], each row with its
+    identity entry appended (the rows given are not changed), are reduced
+    once; the identity block then holds the row transform T, and a solve is
+    the sparse product T b.  Pivots inside the A-block give the coordinates
+    of the solution whose free coordinates are zero; pivots in the identity
+    block mark the rows of T b that must vanish for the system to be
+    consistent.
     """
 
-    def __init__(self, cols, n_rows):
-        self.n_cols = n_cols = len(cols)
-        rows = _transpose(cols, n_rows)
-        for i, row in enumerate(rows):
-            row[n_cols + i] = 1
-        reduced, pivots = Echelon(rows).reduced()
+    def __init__(self, rows, n_cols):
+        self.n_cols = n_cols
+        reduced, pivots = Echelon(
+            {**row, n_cols + i: 1} for i, row in enumerate(rows)).reduced()
         # the columns of T: right-hand index -> [(pivot, entry)]
-        self._transform = [[] for _ in range(n_rows)]
+        self._transform = [[] for _ in rows]
         for row, p in zip(reduced, pivots):
             for k, v in row.items():
                 if k >= n_cols:

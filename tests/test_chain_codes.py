@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from dialab.finalg import PRODUCTS, FiniteAlgebra  # noqa: E402
 from dialab.homology import (  # noqa: E402
     THEORIES,
-    _THEORY_KIND,
+    _INDEX_SETS,
     build_cdend_free,
     build_complex,
     build_cy_free,
@@ -28,7 +28,7 @@ laws = settings(max_examples=40, deadline=None, derandomize=True,
 def _finite(theory, dim):
     # the codes depend on the basis size only, so the zero algebra of the
     # theory's kind stands for every algebra of that dimension
-    kind = _THEORY_KIND[theory]
+    kind = _INDEX_SETS[theory].kind
     zero = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
     alg = FiniteAlgebra(kind, [str(i) for i in range(dim)],
                         {p: zero for p in PRODUCTS[kind]})

@@ -46,6 +46,26 @@ def test_tree_count_past_4300_digits_is_too_large(capsys, monkeypatch):
         assert code == 1 and json.loads(out)["error"] == "TooLarge"
 
 
+def test_tree_count_past_a_lowered_int_str_limit_is_too_large(capsys):
+    # under a lowered limit Cat_7152 is counted but cannot be printed, so it
+    # is refused after counting with one error document, while a count the
+    # interpreter still prints is given
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        code, out = run_cli(capsys, "trees", "--n", "7152", "--count",
+                            "--json")
+        doc = json.loads(out)  # one document: the error alone
+        assert code == 1 and doc["error"] == "TooLarge"
+        assert set(doc) == {"error", "message"}
+        code, out = run_cli(capsys, "trees", "--n", "100", "--count",
+                            "--json")
+        assert code == 0
+        assert json.loads(out) == {"n": 100, "count": trees.catalan(100)}
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_tree_enumeration(capsys):
     code, out = run_cli(capsys, "trees", "--n", "2", "--json")
     assert json.loads(out) == {"n": 2, "trees": ["[1,2]", "[2,1]"]}

@@ -460,6 +460,28 @@ def test_theory_source_mismatch():
         build_complex("CL", ("free", 1), 3, weight=2)
 
 
+@pytest.mark.parametrize("theory, build", [("CY", build_cy_free),
+                                           ("CDend", build_cdend_free)])
+def test_free_piece_stops_at_n_max(theory, build):
+    # build_complex builds a free piece only up to n_max, and its multilinear
+    # piece too; below n_max it is the full piece
+    for dim_v, weight in ((1, 6), (2, 4)):
+        full = build(dim_v, weight)
+        whole = build_complex(theory, ("free", dim_v), weight + 2,
+                              weight=weight)
+        assert whole.n_max == weight and whole.terms == full.terms
+        for m in range(2, weight):
+            cx = build_complex(theory, ("free", dim_v), m, weight=weight)
+            assert cx.n_max == m and sorted(cx.terms) == list(range(1, m + 1))
+            for n in range(1, m + 1):
+                assert cx.terms[n] == full.terms[n]
+            assert cx.betti_table(m - 1) == full.betti_table(m - 1)
+            if dim_v > 1:
+                piece = cx._multilinear
+                assert piece.n_max == m
+                assert sorted(piece.terms) == list(range(1, m + 1))
+
+
 def test_cy_chain_dimensions_over_the_field():
     cx = build_complex("CY", fixture("field"), 5)
     assert [cx.dim(n) for n in range(1, 6)] == [1, 2, 5, 14, 42]
@@ -1062,6 +1084,28 @@ def test_elimination_contraction_beyond_the_case_operator():
                 for u, c in cx.diff(n, term).data.items():
                     hd = hd + c * h[n - 1].get(u, Lin())
                 assert dht + hd == Lin.term(term)
+
+
+def test_elimination_contraction_reads_rows(monkeypatch):
+    # the solver is built on the rows of d that the rank sweep reads, so no
+    # column of d is assembled
+    from dialab.homology import ChainComplex, contraction_by_elimination
+
+    def refuse(self, n):
+        raise AssertionError("matrix(%d) was assembled" % n)
+
+    monkeypatch.setattr(ChainComplex, "matrix", refuse)
+    for builder, dim_v, weight in (
+            (build_cy_free, 1, 5), (build_cy_free, 2, 3),
+            (build_cdend_free, 1, 4), (build_cdend_free, 2, 3)):
+        cx = builder(dim_v, weight)
+        h = contraction_by_elimination(cx)
+        for n in range(1, weight + 1):
+            for term in cx.terms[n]:
+                dh = cx.diff_lin(n + 1, h[n][term])
+                hd = cx.diff(n, term).map_terms(h[n - 1].get) if n > 1 \
+                    else Lin()
+                assert dh + hd == Lin.term(term)
 
 
 def test_theta_values_and_chain_map():

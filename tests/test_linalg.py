@@ -9,7 +9,6 @@ from dialab.linalg import (
     in_row_space,
     nullspace,
     rank_of_columns,
-    rank_of_rows,
     rref,
     solve_affine,
 )
@@ -58,9 +57,8 @@ def reference_solve(mat, rhs, cols):
     return tuple(x)
 
 
-def columns(mat, cols):
-    return [{i: r[j] for i, r in enumerate(mat) if r[j]}
-            for j in range(cols)]
+def sparse(mat):
+    return [{j: v for j, v in enumerate(r) if v} for r in mat]
 
 
 def test_rank_matches_dense_oracle():
@@ -76,17 +74,17 @@ def test_rank_matches_dense_oracle():
             for j in range(cols)
         ]
         expect = rank_oracle(mat)
-        assert rank_of_rows(sparse_rows) == expect
+        assert Echelon(sparse_rows).rank == expect
         assert rank_of_columns(sparse_cols, nrows=rows) == expect
 
 
 def test_rank_with_fractions():
     independent = [{0: Fraction(1, 2), 1: Fraction(1, 3)},
                    {0: Fraction(3, 2), 1: Fraction(2)}]
-    assert rank_of_rows(independent) == 2
+    assert Echelon(independent).rank == 2
     first = {0: Fraction(1, 2), 1: Fraction(1, 3)}
     scaled = {k: 3 * v for k, v in first.items()}
-    assert rank_of_rows([first, scaled]) == 1
+    assert Echelon([first, scaled]).rank == 1
 
 
 def test_nullspace_and_row_space():
@@ -116,7 +114,9 @@ def test_factored_solver_agrees_with_direct_solve():
         rows = rng.randrange(1, 7)
         cols = rng.randrange(1, 7)
         mat = random_matrix(rng, rows, cols)
-        solver = FactoredSolver(columns(mat, cols), rows)
+        given = sparse(mat)
+        solver = FactoredSolver(given, cols)
+        assert given == sparse(mat)  # the identity block is not written in
         for _ in range(4):
             rhs = [Fraction(rng.randrange(-3, 4)) for _ in range(rows)]
             direct = solve_affine(mat, rhs)
@@ -154,7 +154,7 @@ def test_echelon_views_match_dense_reference():
                 vec[p] = -row[f]
             kernel.append(tuple(vec))
         assert nullspace(mat, cols) == kernel
-        solver = FactoredSolver(columns(mat, cols), rows)
+        solver = FactoredSolver(sparse(mat), cols)
         for _ in range(3):
             rhs = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
                    for _ in range(rows)]
