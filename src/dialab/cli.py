@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import finalg, freealg, homology, operads, trees
@@ -42,6 +43,13 @@ _MAX_LISTED_DEGREE = 11
 # most an int converts to text under CPython's default limit, and
 # Cat_7153 has 4,301; a count past a lower limit is refused once computed
 _MAX_COUNTED_DEGREE = 7152
+# the most terms a finite complex is built with, over all its degrees: CS of
+# a 4-dimensional algebra has 3,078,564 through degree 6, and 82,575,360 in
+# degree 7 alone; |X_n| per theory counts the points of its index set, which
+# the complex enumerates in every degree, so dimension 0 counts as 1
+_MAX_COMPLEX_TERMS = 5_000_000
+_POINTS = {"CY": trees.catalan, "CS": math.factorial, "CDend": lambda n: n,
+           "CL": lambda n: 1, "CZinb": lambda n: 1}
 
 
 def cmd_trees(args):
@@ -231,6 +239,14 @@ def cmd_homology(args):
         alg = _load_algebra(args.file)
         if alg.kind == "associative" and args.theory in ("CY", "CS"):
             alg = finalg.as_dialgebra(alg)  # equal left and right products
+        terms = 0
+        for n in range(1, args.max_degree + 2):
+            terms += _POINTS[args.theory](n) * max(alg.dim, 1) ** n
+            if terms > _MAX_COMPLEX_TERMS:
+                raise TooLarge(
+                    "%s of a %d-dimensional algebra through degree %d "
+                    "exceeds the budget of %d terms"
+                    % (args.theory, alg.dim, n, _MAX_COMPLEX_TERMS))
         cx = homology.build_complex(args.theory, alg, args.max_degree + 1)
         betti = cx.betti_table(args.max_degree)
         payload = {

@@ -179,10 +179,10 @@ class ChainComplex:
     products are integral, with D = 1.  Every face applies exactly one
     product, so the stored differential is exactly D * d.  Hence
     (D d)^2 = D^2 d^2 vanishes exactly when d^2 does and rank(D d) = rank d:
-    the d^2 check runs in integers on the sparse columns of D * d and
-    `rank` on its rows, which the sweep reads one at a time and drops, and
-    both stay exact for rational structure constants, not only integral
-    ones.
+    the d^2 check runs in integers, sending each term's faces onto the
+    columns of D * d_{n-1}, and `rank` on the rows of D * d, which the sweep
+    reads one at a time and drops; both stay exact for rational structure
+    constants, not only integral ones.
     `diff`, `diff_lin`, `face` and `matrix` divide by D.
     """
 
@@ -339,19 +339,25 @@ class ChainComplex:
 
     def verify_d_squared(self):
         """Check d o d = 0 exactly on every basis term; (D * d)^2 is
-        checked, which vanishes exactly when d^2 does."""
+        checked, which vanishes exactly when d^2 does.  Per degree n the
+        columns of D * d_{n-1} are computed once, and each term's faces
+        (`_apply_faces`) go straight onto them, summed in one dict; terms
+        are visited in code order, so the first failing one is named."""
         for n in sorted(self.terms):
             if n < 2 or (n - 1) not in self.terms:
                 continue
-            memo = {}
+            below = [tuple(self._idiff(n - 1, u).items())
+                     for u in range(self.dim(n - 1))]
+            size, packed, rows, where = self._face_table(n)
+            radix = self._radix
             for code in range(self.dim(n)):
+                x, e = divmod(code, size)
                 acc = {}
-                for u, c in self._idiff(n, code).items():
-                    du = memo.get(u)
-                    if du is None:
-                        du = memo[u] = self._idiff(n - 1, u)
-                    accumulate(acc, du.items(), c)
-                if acc:
+                get = acc.get
+                for u, k in _apply_faces(packed[e], rows[x], radix, where):
+                    for v, c in below[u]:
+                        acc[v] = get(v, 0) + k * c
+                if any(acc.values()):
                     raise AssertionError("d^2 != 0 at degree %d on %r"
                                          % (n, self._term(n, code)))
         return True

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from dialab import trees
+from dialab import homology, trees
 from dialab.cli import main
 from dialab.finalg import fixture
 from dialab.homology import build_complex
@@ -203,6 +203,34 @@ def test_empty_free_pieces_are_refused(capsys):
                                 "--json")
             assert code == 1
             assert json.loads(out)["error"] == "DegreeOutOfRange"
+
+
+def test_oversize_finite_complex_is_refused_before_it_is_built(
+        tmp_path, capsys, monkeypatch):
+    # on the 4-dimensional tensor_square, degree 7 of CS has 7! * 4^7 =
+    # 82,575,360 terms and of CY Cat_7 * 4^7 = 7,028,736; CS through degree
+    # 6 has 3,078,564 terms in all and is built.  A 0-dimensional algebra
+    # has no terms, but its complex enumerates the Cat_15 = 9,694,845 trees
+    # of degree 15
+    path, zero = tmp_path / "alg.json", tmp_path / "zero.json"
+    path.write_text(fixture("tensor_square").to_json(), encoding="utf-8")
+    zero.write_text(json.dumps({"kind": "dialgebra", "basis": [], "tables": {
+        "left": [], "right": []}}), encoding="utf-8")
+
+    def build(*args):
+        raise RuntimeError("build_complex reached")
+
+    monkeypatch.setattr(homology, "build_complex", build)
+    for source, theory, top in ((path, "CS", "6"), (path, "CY", "6"),
+                                (zero, "CY", "14"), (zero, "CY", "20000")):
+        code, out = run_cli(capsys, "homology", "--file", str(source),
+                            "--theory", theory, "--max-degree", top, "--json")
+        doc = json.loads(out)  # one document: the error alone
+        assert code == 1 and doc["error"] == "TooLarge"
+        assert set(doc) == {"error", "message"}
+    with pytest.raises(RuntimeError, match="build_complex reached"):
+        main(["homology", "--file", str(path), "--theory", "CS",
+              "--max-degree", "5", "--json"])
 
 
 @pytest.mark.parametrize("source", ["free", "file"])
@@ -474,6 +502,7 @@ _GRID = {
         ("--file", "{algebra}", "--theory", "CS", "--max-degree", "2"),
         ("--file", "{algebra}", "--theory", "CL", "--max-degree", "2"),
         ("--file", "{algebra}", "--max-degree", "-1"),
+        ("--file", "{algebra}", "--theory", "CS", "--max-degree", "6"),
         ("--file", "{not_json}"), ("--file", "{not_utf8}"),
         ("--file", "{directory}"), ("--file", "{missing}"),
         ("--free", "--weight", "3", "--max-degree", "3"),
