@@ -155,7 +155,8 @@ class ChainComplex:
     constructor builds `terms[n]`, the ordered basis in degree n: (x; e)
     for x in X_n and then e in E_n, each entry tuple made once from
     `basis` and shared by every point (CL and CZinb index by a single
-    point and their terms are the bare entry tuples).
+    point and their terms are the bare entry tuples); a degree whose E_n is
+    empty, as for a 0-dimensional algebra, lists no points.
 
     Every term is keyed by one int, its code, which is its position in
     terms[n]:  pos(x) * |E_n| + pos(e).  A face works on the packed entry
@@ -179,7 +180,8 @@ class ChainComplex:
     products are integral, with D = 1.  Every face applies exactly one
     product, so the stored differential is exactly D * d.  Hence
     (D d)^2 = D^2 d^2 vanishes exactly when d^2 does and rank(D d) = rank d:
-    the d^2 check runs in integers, sending each term's faces onto the
+    the d^2 check runs in integers, sending the faces of each entry tuple,
+    made once per face pair and product and shared by the points, onto the
     columns of D * d_{n-1}, and `rank` on the rows of D * d, which the sweep
     reads one at a time and drops; both stay exact for rational structure
     constants, not only integral ones.
@@ -197,7 +199,7 @@ class ChainComplex:
         self.terms = {}
         for n in range(1, n_max + 1):
             E = [tuple(map(basis.__getitem__, ids)) for ids in entries(n)]
-            self.terms[n] = tuple(E) if ix.bare else tuple(
+            self.terms[n] = tuple(E) if ix.bare or not E else tuple(
                 (x, e) for x in ix.points(n) for e in E)
         self._points = {}
         self._packings = {}
@@ -339,27 +341,46 @@ class ChainComplex:
 
     def verify_d_squared(self):
         """Check d o d = 0 exactly on every basis term; (D * d)^2 is
-        checked, which vanishes exactly when d^2 does.  Per degree n the
-        columns of D * d_{n-1} are computed once, and each term's faces
-        (`_apply_faces`) go straight onto them, summed in one dict; terms
-        are visited in code order, so the first failing one is named."""
-        for n in sorted(self.terms):
-            if n < 2 or (n - 1) not in self.terms:
-                continue
+        checked, which vanishes exactly when d^2 does.
+
+        Per degree n the columns of D * d_{n-1} are computed once.  The
+        entry part of a face depends on its pair and product only, not on
+        the point, so the face rows of X_n are keyed by these kinds, and
+        each entry tuple e of E_n gets the images of every kind from one
+        pass of `_apply_faces` (kind m carries the offset m * |E_{n-1}|).
+        Each point then sends the images of its kinds, shifted by its code
+        offsets, onto the columns of D * d_{n-1}, summed in one dict.  Entry
+        tuples come in the outer loop; once point x fails, later ones visit
+        only the points below x, so the least failing code is named, once
+        the degree is done."""
+        for n in filter(self.dim, range(2, self.n_max + 1)):
             below = [tuple(self._idiff(n - 1, u).items())
                      for u in range(self.dim(n - 1))]
             size, packed, rows, where = self._face_table(n)
-            radix = self._radix
-            for code in range(self.dim(n)):
-                x, e = divmod(code, size)
-                acc = {}
-                get = acc.get
-                for u, k in _apply_faces(packed[e], rows[x], radix, where):
-                    for v, c in below[u]:
-                        acc[v] = get(v, 0) + k * c
-                if any(acc.values()):
-                    raise AssertionError("d^2 != 0 at degree %d on %r"
-                                         % (n, self._term(n, code)))
+            radix, wide, kinds = self._radix, len(where), {}
+            # per point its rows as (code offset, kind m); kind m's row is
+            # the first row of its pair and product, with offset m * wide
+            plan = [tuple((row[0], kinds.setdefault((p, row[6]), (
+                len(kinds) * wide,) + row[1:])[0] // wide)
+                for p, row in enumerate(point)) for point in rows]
+            first = self.dim(n)
+            for e, code in enumerate(packed):
+                images = {}
+                for w, k in _apply_faces(code, kinds.values(), radix, where):
+                    images.setdefault(w // wide, []).append((w % wide, k))
+                for x in range(first // size if images else 0):
+                    acc = {}
+                    get = acc.get
+                    for offset, m in plan[x]:
+                        for u, k in images.get(m, ()):
+                            for v, c in below[offset + u]:
+                                acc[v] = get(v, 0) + k * c
+                    if any(acc.values()):
+                        first = x * size + e
+                        break
+            if first < self.dim(n):
+                raise AssertionError("d^2 != 0 at degree %d on %r"
+                                     % (n, self._term(n, first)))
         return True
 
     def _rows(self, n, skip):
@@ -469,7 +490,8 @@ class ChainComplex:
         last Q_m.  The rows of d_m outside Q_{m-1} are read one at a time
         off their cofaces (`_rows`), in ascending order, so no column of
         d_m is assembled and the rows in Q_{m-1} are never built; the
-        packing of E_{m-1} is dropped once d_m is ranked.
+        packing of E_{m-1} is dropped once d_m is ranked.  When C_{m-1} is
+        empty, d_m has no rows and rank 0, and no coface is looked up.
 
         The precondition d o d = 0 holds for the free pieces and for every
         axiom-checked finite source (`verify_d_squared` certifies it); a
@@ -481,7 +503,7 @@ class ChainComplex:
         m, cleared = self._sweep
         while n not in self._rank_cache:
             m += 1
-            ech = Echelon(self._rows(m, cleared))
+            ech = Echelon(self._rows(m, cleared) if self.dim(m - 1) else ())
             self._rank_cache[m] = ech.rank
             cleared = frozenset(ech.leads)
             self._packings.pop(m - 1, None)

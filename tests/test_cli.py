@@ -233,6 +233,27 @@ def test_oversize_finite_complex_is_refused_before_it_is_built(
               "--max-degree", "5", "--json"])
 
 
+def test_zero_dimensional_source_lists_no_trees(tmp_path, capsys,
+                                                monkeypatch):
+    # the complex of a 0-dimensional algebra has no terms, so neither its
+    # basis nor its rank sweep may enumerate X_n: through degree 14 that
+    # would be 3.6 million trees
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"kind": "dialgebra", "basis": [], "tables": {
+        "left": [], "right": []}}), encoding="utf-8")
+
+    def enumerate_trees(n):
+        raise RuntimeError("Y_%d enumerated" % n)
+
+    monkeypatch.setattr(trees, "enumerate_trees", enumerate_trees)
+    monkeypatch.setattr(homology, "enumerate_trees", enumerate_trees)
+    code, out = run_cli(capsys, "homology", "--file", str(zero), "--theory",
+                        "CY", "--max-degree", "13", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "theory": "CY", "betti": {str(n): 0 for n in range(1, 14)}}
+
+
 @pytest.mark.parametrize("source", ["free", "file"])
 def test_negative_max_degree_is_refused(source, tmp_path, capsys):
     if source == "free":

@@ -380,6 +380,85 @@ def test_d_squared_check_catches_a_perturbed_rational_table():
         _assert_names_a_witness(cx, str(err.value))
 
 
+@pytest.mark.parametrize("theory, name, cell", [
+    ("CY", "monoid_algebra", ("right", 0, 0, 0)),
+    ("CS", "monoid_algebra", ("left", 0, 0, 0)),
+    ("CDend", "truncated_free_dendriform", ("prec", 1, 0, 0)),
+])
+def test_d_squared_check_names_the_least_failing_term(theory, name, cell):
+    # the check walks the entry tuples in its outer loop; on these tables
+    # the first failure that order meets is not the least failing code
+    cx = build_complex(theory, _perturbed(fixture(name), *cell, 1), 3)
+    for n in (2, 3):
+        failing = [k for k, t in enumerate(cx.terms[n])
+                   if cx.diff_lin(n - 1, cx.diff(n, t))]
+        if failing:
+            break
+    size = cx.dim(n) // len({x for x, _ in cx.terms[n]})
+    assert min(failing, key=lambda k: (k % size, k)) != failing[0]
+    with pytest.raises(AssertionError, match="d\\^2 != 0") as err:
+        cx.verify_d_squared()
+    _assert_names_a_witness(cx, str(err.value))
+
+
+def test_d_squared_check_agrees_with_brute_force():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    # one fixture of dimension <= 3 per theory; the rescaled one has D > 1
+    sources = {
+        "CY": fixture("monoid_algebra"),
+        "CS": _rescaled(fixture("diff_algebra"), _LAM),
+        "CDend": fixture("truncated_free_dendriform", dim_v=1, maxdeg=2),
+        "CL": leibnizification(fixture("diff_algebra")),
+        "CZinb": fixture("truncated_free_zinbiel", dim_v=1, maxdeg=3),
+    }
+    assert build_complex("CS", sources["CS"], 1).scale > 1
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from(sorted(sources)), st.data())
+    def agrees(theory, data):
+        alg = sources[theory]
+        cell = data.draw(st.tuples(
+            st.sampled_from(sorted(alg.tables)),
+            *[st.integers(0, alg.dim - 1)] * 3,
+            st.fractions(-2, 2, max_denominator=7).filter(bool)))
+        cx = build_complex(theory, _perturbed(alg, *cell), 3)
+        witness = next(((n, t) for n in (2, 3) for t in cx.terms[n]
+                        if cx.diff_lin(n - 1, cx.diff(n, t))), None)
+        if witness is None:
+            assert cx.verify_d_squared() is True
+            return
+        with pytest.raises(AssertionError) as err:
+            cx.verify_d_squared()
+        assert str(err.value) == "d^2 != 0 at degree %d on %r" % witness
+
+    agrees()
+
+
+def test_d_squared_check_shares_entry_faces_across_points():
+    # the entry part of a face depends on its pair and product only, so the
+    # check looks a product up once per (pair, product) and entry tuple: at
+    # most |E_n| * 2(n-1) times in degree n of CS, where a pass per point
+    # takes |X_n| * |E_n| * (n-1); the columns of D * d_{n-1} take one
+    # lookup per face row of each term of degree n-1
+    alg, done = fixture("tensor_square"), 0
+    for n in range(2, 5):
+        cx, calls = build_complex("CS", alg, n), []
+
+        def counted(mul):
+            return lambda ab: calls.append(ab) or mul(ab)
+
+        cx._products = {s: counted(mul) for s, mul in cx._products.items()}
+        assert cx.verify_d_squared()
+        lookups = len(calls) - done - cx.dim(n - 1) * (n - 2)
+        done = len(calls)
+        entries = alg.dim ** n
+        assert lookups <= entries * 2 * (n - 1)
+        assert n < 3 or lookups < len(all_permutations(n)) * entries * (n - 1)
+
+
 @pytest.mark.parametrize("name", ["tensor_square", "vector_dialgebra"])
 def test_integer_ranks_match_fraction_ranks(name):
     # rank runs on the integer columns of D * d; the Fraction view of d_n
