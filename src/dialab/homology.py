@@ -166,25 +166,24 @@ class ChainComplex:
     in ascending order, and keeps a {packed: position} dict, so `_key` is
     two position lookups and a code decodes by indexing terms[n].  Only
     `diff`, `diff_lin`, `face` and `verify_d_squared`'s message meet the
-    term objects; the faces, the d^2 check, the assembly of columns and the
-    rows of the rank sweep run on codes.  A term outside the basis raises
-    IndexOutOfRange.  The first column asked of degree n gives X_n integer
-    tables: per point x and face pair (i, j), the code offset
+    term objects; the faces, the assembly of columns and the rows that the
+    d^2 check and the rank sweep read run on codes.  A term outside the
+    basis raises IndexOutOfRange.  The first column asked of degree n gives
+    X_n integer tables: per point x and face pair (i, j), the code offset
     pos(face_i x) * |E_{n-1}|, the powers of B that cut a packed code into
     head, a_i, middle, a_j and tail (made once per pair), the product and
-    the sign.  The rank sweep reads rows instead, off the cofaces of each
-    point of X_{n-1} and the inverted products (`_rows`).
+    the sign.  The d^2 check and the rank sweep read rows instead, off the
+    cofaces of each point of X_{n-1} and the inverted products (`_rows`).
 
     Finite structure constants are stored as integer numerators over one
     common denominator D (`scale`), the lcm of all their denominators; free
     products are integral, with D = 1.  Every face applies exactly one
     product, so the stored differential is exactly D * d.  Hence
     (D d)^2 = D^2 d^2 vanishes exactly when d^2 does and rank(D d) = rank d:
-    the d^2 check runs in integers, sending the faces of each entry tuple,
-    made once per face pair and product and shared by the points, onto the
-    columns of D * d_{n-1}, and `rank` on the rows of D * d, which the sweep
-    reads one at a time and drops; both stay exact for rational structure
-    constants, not only integral ones.
+    the d^2 check and `rank` run in integers on the rows of D * d, the check
+    holding those of d_n and summing them along each row of d_{n-1}, the
+    sweep reading them one at a time and dropping them; both stay exact for
+    rational structure constants, not only integral ones.
     `diff`, `diff_lin`, `face` and `matrix` divide by D.
     """
 
@@ -256,10 +255,6 @@ class ChainComplex:
         except (KeyError, TypeError, ValueError):
             raise IndexOutOfRange("%r is not a basis term of degree %d"
                                   % (term, n)) from None
-
-    def _term(self, n, code):
-        """The degree-n term of a code."""
-        return self.terms[n][code]
 
     def _lin(self, n, image):
         """The Lin over degree-n terms of an encoded image of D * d."""
@@ -343,44 +338,24 @@ class ChainComplex:
         """Check d o d = 0 exactly on every basis term; (D * d)^2 is
         checked, which vanishes exactly when d^2 does.
 
-        Per degree n the columns of D * d_{n-1} are computed once.  The
-        entry part of a face depends on its pair and product only, not on
-        the point, so the face rows of X_n are keyed by these kinds, and
-        each entry tuple e of E_n gets the images of every kind from one
-        pass of `_apply_faces` (kind m carries the offset m * |E_{n-1}|).
-        Each point then sends the images of its kinds, shifted by its code
-        offsets, onto the columns of D * d_{n-1}, summed in one dict.  Entry
-        tuples come in the outer loop; once point x fails, later ones visit
-        only the points below x, so the least failing code is named, once
-        the degree is done."""
-        for n in filter(self.dim, range(2, self.n_max + 1)):
-            below = [tuple(self._idiff(n - 1, u).items())
-                     for u in range(self.dim(n - 1))]
-            size, packed, rows, where = self._face_table(n)
-            radix, wide, kinds = self._radix, len(where), {}
-            # per point its rows as (code offset, kind m); kind m's row is
-            # the first row of its pair and product, with offset m * wide
-            plan = [tuple((row[0], kinds.setdefault((p, row[6]), (
-                len(kinds) * wide,) + row[1:])[0] // wide)
-                for p, row in enumerate(point)) for point in rows]
-            first = self.dim(n)
-            for e, code in enumerate(packed):
-                images = {}
-                for w, k in _apply_faces(code, kinds.values(), radix, where):
-                    images.setdefault(w // wide, []).append((w % wide, k))
-                for x in range(first // size if images else 0):
-                    acc = {}
-                    get = acc.get
-                    for offset, m in plan[x]:
-                        for u, k in images.get(m, ()):
-                            for v, c in below[offset + u]:
-                                acc[v] = get(v, 0) + k * c
-                    if any(acc.values()):
-                        first = x * size + e
-                        break
+        Per degree n >= 3 (d_1 = 0) the rows of D * d_n are read once, off
+        their cofaces, by the same `_rows` the rank sweep reads, and each
+        row of D * d_{n-1}, streamed the same way, sums its entries' rows of
+        D * d_n into a row of (D * d)^2; the least code with a nonzero entry
+        in any of them is named, once the degree is done."""
+        for n in filter(self.dim, range(3, self.n_max + 1)):
+            rows, first = list(self._rows(n, ())), self.dim(n)
+            for row in self._rows(n - 1, ()):
+                acc = {}
+                get = acc.get
+                for u, c in row.items():
+                    for x, k in rows[u].items():
+                        acc[x] = get(x, 0) + c * k
+                first = min((x for x, k in acc.items() if k and x < first),
+                            default=first)
             if first < self.dim(n):
                 raise AssertionError("d^2 != 0 at degree %d on %r"
-                                     % (n, self._term(n, first)))
+                                     % (n, self.terms[n][first]))
         return True
 
     def _rows(self, n, skip):
@@ -511,11 +486,17 @@ class ChainComplex:
         return self._rank_cache[n]
 
     def betti(self, n):
-        """dim H_n = dim C_n - rank d_n - rank d_{n+1}; requires degree n+1
-        to be part of the complex (or n to be the top degree of a complex
-        that is zero above).  The ranks come from the sweep of `rank`, so
-        the number is exact when d o d = 0, the precondition stated
-        there."""
+        """dim H_n = dim C_n - rank d_n - rank d_{n+1}.  Degree n+1 must be
+        part of the complex, or the source must have no entry tuples in
+        degree n+1 (a full free piece, a 0-dimensional algebra), since the
+        truncated complex would take d_{n+1} for 0; else DegreeOutOfRange.
+        The ranks come from the sweep of `rank`, so the number is exact when
+        d o d = 0, the precondition stated there."""
+        # an entry tuple of degree n + 1 >= 2 is a nonempty tuple, so true
+        if n >= max(self.n_max, 1) and any(self._entries(n + 1)):
+            raise DegreeOutOfRange(
+                "Betti number of degree %d needs degree %d, past n_max = %d"
+                % (n, n + 1, self.n_max))
         if n not in self.terms:
             return 0
         return self.dim(n) - self.rank(n) - self.rank(n + 1)

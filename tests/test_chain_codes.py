@@ -45,7 +45,6 @@ def _assert_code_is_the_basis_position(cx, data):
     n = data.draw(st.integers(1, cx.n_max))
     k = data.draw(st.integers(0, cx.dim(n) - 1))
     assert cx._key(n, cx.terms[n][k]) == k
-    assert cx._term(n, k) is cx.terms[n][k]
 
 
 @pytest.mark.parametrize("theory", THEORIES)

@@ -10,6 +10,7 @@ import pytest
 
 from dialab.errors import (
     CaseDispatchFailure,
+    DegreeOutOfRange,
     IndexOutOfRange,
     UnsupportedTheoryForSource,
 )
@@ -216,7 +217,6 @@ def test_free_piece_diff_lin_and_codes(build):
         for n in range(1, weight + 1):
             for code, t in enumerate(cx.terms[n]):
                 assert cx._key(n, t) == code
-                assert cx._term(n, code) is t
 
 
 def test_every_point_shares_the_entry_tuples():
@@ -438,12 +438,13 @@ def test_d_squared_check_agrees_with_brute_force():
 
 
 def test_d_squared_check_shares_entry_faces_across_points():
-    # the entry part of a face depends on its pair and product only, so the
-    # check looks a product up once per (pair, product) and entry tuple: at
-    # most |E_n| * 2(n-1) times in degree n of CS, where a pass per point
-    # takes |X_n| * |E_n| * (n-1); the columns of D * d_{n-1} take one
-    # lookup per face row of each term of degree n-1
-    alg, done = fixture("tensor_square"), 0
+    # the check reads the rows of D * d_n and D * d_{n-1} off their cofaces,
+    # as the rank sweep does: the entries of a row's coface are made once
+    # and shared by every point with that face, and each read looks every
+    # (symbol, a * B + b) up at most once, so a checked degree n >= 3 makes
+    # at most 2 * |symbols| * dim^2 lookups, below the |E_n| * 2(n-1) of a
+    # pass per entry tuple; no forward face table is built
+    alg = fixture("tensor_square")
     for n in range(2, 5):
         cx, calls = build_complex("CS", alg, n), []
 
@@ -452,11 +453,10 @@ def test_d_squared_check_shares_entry_faces_across_points():
 
         cx._products = {s: counted(mul) for s, mul in cx._products.items()}
         assert cx.verify_d_squared()
-        lookups = len(calls) - done - cx.dim(n - 1) * (n - 2)
-        done = len(calls)
-        entries = alg.dim ** n
-        assert lookups <= entries * 2 * (n - 1)
-        assert n < 3 or lookups < len(all_permutations(n)) * entries * (n - 1)
+        per_degree = 2 * len(cx._products) * alg.dim ** 2
+        assert per_degree == 64
+        assert len(calls) <= per_degree * (n - 2)
+        assert cx._faces == {}
 
 
 @pytest.mark.parametrize("name", ["tensor_square", "vector_dialgebra"])
@@ -563,6 +563,25 @@ def test_free_piece_stops_at_n_max(theory, build):
                 piece = cx._multilinear
                 assert piece.n_max == m
                 assert sorted(piece.terms) == list(range(1, m + 1))
+
+
+def test_betti_past_the_top_degree_needs_the_next_degree():
+    # a complex truncated at n_max would take d_{n_max+1} for 0: the field
+    # is bar-unital, so H_3 = 0, and the full weight-5 piece is acyclic;
+    # both read a nonzero b_3 from the truncation, so it is refused
+    for cx in (build_complex("CY", fixture("field"), 3),
+               build_complex("CY", ("free", 1), 3, weight=5)):
+        assert cx.betti_table(2) == {1: 0, 2: 0}
+        for n in (3, 4):
+            with pytest.raises(DegreeOutOfRange, match="needs degree"):
+                cx.betti(n)
+    # a full free piece and a 0-dimensional source are zero above their
+    # top degree, so that degree still answers
+    assert build_complex("CY", ("free", 1), 5, weight=5).betti(5) == 0
+    zero = FiniteAlgebra("dialgebra", [], {"left": [], "right": []})
+    cx = build_complex("CY", zero, 3)
+    assert cx.betti_table(3) == {1: 0, 2: 0, 3: 0}
+    assert cx.betti(4) == 0
 
 
 def test_cy_chain_dimensions_over_the_field():
